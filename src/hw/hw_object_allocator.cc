@@ -1,8 +1,5 @@
 #include "hw/hw_object_allocator.h"
 
-#include <algorithm>
-#include <vector>
-
 namespace memento {
 
 HwObjectAllocator::HwObjectAllocator(const MachineConfig &cfg,
@@ -222,13 +219,7 @@ HwObjectAllocator::releaseAllArenas(MementoSpace &space, Env &env)
     // allocator's free lists, so hash-order teardown would leave an
     // implementation-defined free-list order for the next function
     // instance to allocate from.
-    std::vector<Addr> vas;
-    vas.reserve(space.arenas.size());
-    for (const auto &[va, state] :
-         space.arenas) // lint-src: allow(src-unordered-iteration)
-        vas.push_back(va);
-    std::sort(vas.begin(), vas.end());
-    for (Addr va : vas) {
+    for (Addr va : space.arenaBasesAscending()) {
         ++arenasReleased_;
         pageAlloc_.freeArena(space, va, env);
     }

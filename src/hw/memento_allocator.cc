@@ -1,78 +1,55 @@
 #include "hw/memento_allocator.h"
 
 #include "sim/logging.h"
-#include "sim/size_class.h"
 
 namespace memento {
 
 MementoAllocator::MementoAllocator(HwObjectAllocator &hw,
                                    MementoSpace &space, VirtualMemory &vm,
                                    StatRegistry &stats)
-    : hw_(hw), space_(space), large_(vm, stats, "memento")
+    : Allocator(vm, stats, "memento"), hw_(hw), space_(space)
 {
 }
 
 Addr
-MementoAllocator::malloc(std::uint64_t size, Env &env)
+MementoAllocator::smallMalloc(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "memento: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     {
         // The obj-alloc instruction itself plus the size check in the
         // malloc shim (§4's first integration approach).
         CategoryScope scope(env.ledger(), CycleCategory::HwAlloc);
         env.chargeInstructions(3);
     }
-    Addr va = hw_.objAlloc(space_, size, env, thread_);
-    live_[va] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
-    return va;
+    return hw_.objAlloc(space_, size, env, thread_);
 }
 
 void
-MementoAllocator::free(Addr ptr, Env &env)
+MementoAllocator::smallFree(Addr ptr, Env &env)
 {
-    if (!hw_.geometry().inRegion(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
     {
         CategoryScope scope(env.ledger(), CycleCategory::HwFree);
         env.chargeInstructions(3);
     }
+    // The ledger already rejected pointers that are not live, so a
+    // hardware free exception here means the model itself is wrong.
     FreeStatus status = hw_.objFree(space_, ptr, env, thread_);
     panic_if(status != FreeStatus::Ok,
              "memento: hardware raised a free exception for 0x", std::hex,
              ptr);
-    auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "memento: free of untracked pointer");
-    liveBytes_ -= it->second;
-    live_.erase(it);
 }
 
 void
-MementoAllocator::functionExit(Env &env)
+MementoAllocator::smallExit(Env &env)
 {
     // Batch free: every arena goes back to the page allocator with
     // hardware latency; no kernel munmap walk happens for the region.
     hw_.releaseAllArenas(space_, env);
-    live_.clear();
-    liveBytes_ = 0;
-    large_.releaseAll(env);
 }
 
 double
 MementoAllocator::inactiveSlotFraction() const
 {
     return hw_.inactiveSlotFraction(space_);
-}
-
-bool
-MementoAllocator::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 } // namespace memento

@@ -4,17 +4,14 @@
  * path executes the obj-alloc/obj-free ISA extensions and whose large
  * path (>512 B) falls back to the software allocator, following the
  * integration approach chosen in §4 (malloc checks the size; free
- * checks whether the pointer lies in the Memento region).
+ * routes on the size the Allocator ledger recorded).
  */
 
 #ifndef MEMENTO_HW_MEMENTO_ALLOCATOR_H
 #define MEMENTO_HW_MEMENTO_ALLOCATOR_H
 
-#include <unordered_map>
-
 #include "hw/hw_object_allocator.h"
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 
 namespace memento {
 
@@ -30,15 +27,6 @@ class MementoAllocator : public Allocator
     MementoAllocator(HwObjectAllocator &hw, MementoSpace &space,
                      VirtualMemory &vm, StatRegistry &stats);
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     std::string name() const override { return "memento"; }
     double inactiveSlotFraction() const override;
 
@@ -48,13 +36,14 @@ class MementoAllocator : public Allocator
     void setThread(unsigned thread) { thread_ = thread; }
     unsigned thread() const { return thread_; }
 
+  protected:
+    Addr smallMalloc(std::uint64_t size, Env &env) override;
+    void smallFree(Addr ptr, Env &env) override;
+    void smallExit(Env &env) override;
+
   private:
     HwObjectAllocator &hw_;
     MementoSpace &space_;
-    GlibcLargeAlloc large_;
-
-    std::unordered_map<Addr, std::uint32_t> live_;
-    std::uint64_t liveBytes_ = 0;
     unsigned thread_ = 0;
 };
 

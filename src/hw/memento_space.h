@@ -12,6 +12,7 @@
 #ifndef MEMENTO_HW_MEMENTO_SPACE_H
 #define MEMENTO_HW_MEMENTO_SPACE_H
 
+#include <algorithm>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -39,6 +40,23 @@ struct MementoSpace
 
     /** Memory-resident arena headers, keyed by arena base VA. */
     std::unordered_map<Addr, ArenaState> arenas;
+
+    /**
+     * Base VAs of every arena in ascending order: the one visit order
+     * for anything whose result depends on order (teardown, digests,
+     * invariant reports), since `arenas` iterates in hash order.
+     */
+    std::vector<Addr>
+    arenaBasesAscending() const
+    {
+        std::vector<Addr> bases;
+        bases.reserve(arenas.size());
+        for (const auto &[va, state] :
+             arenas) // lint-src: allow(src-unordered-iteration)
+            bases.push_back(va);
+        std::sort(bases.begin(), bases.end());
+        return bases;
+    }
 
     /** Per-class list of arenas with at least one free object. */
     std::vector<std::deque<Addr>> availList;

@@ -38,6 +38,8 @@ FunctionExecutor::execute(const WorkloadSpec &spec, const TraceOp &op)
                            AccessType::Write);
         break;
       case OpKind::Malloc: {
+        sim_error_if(op.value == 0, ErrorCategory::Trace,
+                     "trace: zero-size malloc of object ", op.objId);
         Addr addr = alloc.malloc(op.value, machine_);
         if (op.objId < kDenseIdLimit) {
             if (op.objId >= dense_.size())
@@ -119,19 +121,10 @@ FunctionExecutor::flipArenaBit()
     MementoSpace *space = machine_.mementoSpace();
     if (!space || space->arenas.empty())
         return;
-    // Deterministic victim: the lowest-addressed live arena, found by
-    // a full min-scan, so the traversal order is provably irrelevant.
-    // Flipping slot 0 desynchronises the bitmap from the allocated
-    // count either way the bit goes, so the checker always sees it.
-    auto victim =
-        space->arenas.begin(); // lint-src: allow(src-unordered-iteration)
-    for (auto it =
-             space->arenas.begin(); // lint-src: allow(src-unordered-iteration)
-         it != space->arenas.end(); ++it) {
-        if (it->first < victim->first)
-            victim = it;
-    }
-    victim->second.bitmap.flip(0);
+    // Deterministic victim: the lowest-addressed live arena. Flipping
+    // slot 0 desynchronises the bitmap from the allocated count either
+    // way the bit goes, so the checker always sees it.
+    space->arenas.at(space->arenaBasesAscending().front()).bitmap.flip(0);
 }
 
 void

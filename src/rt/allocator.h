@@ -8,6 +8,13 @@
  * cache behaviour, TLB behaviour, page faults and kernel calls all
  * surface exactly where the real software would cause them.
  *
+ * The base owns everything the models share: the live-object ledger
+ * (pointer -> requested size, plus the live-byte total), the size-0
+ * assertion, the bad-free check, and the routing of every request
+ * above kMaxSmallSize to one glibc-style large-object model (§4: the
+ * same software path serves large objects in both the baseline and
+ * Memento). A model implements only its small-object path.
+ *
  * malloc() charges under CycleCategory::UserAlloc, free() under
  * UserFree; kernel work they trigger re-scopes itself (see
  * VirtualMemory).
@@ -18,43 +25,47 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 
 #include "mem/env.h"
+#include "rt/glibc_large.h"
 #include "sim/types.h"
 
 namespace memento {
 
-/** Abstract userspace allocator. */
+/** Userspace allocator: shared ledger and large path, per-model small path. */
 class Allocator
 {
   public:
     virtual ~Allocator() = default;
 
     /**
-     * Allocate @p size bytes.
+     * Allocate @p size (> 0) bytes.
      * @return virtual address of the object (never kNullAddr).
      */
-    virtual Addr malloc(std::uint64_t size, Env &env) = 0;
+    Addr malloc(std::uint64_t size, Env &env);
 
     /**
      * Release the object at @p ptr. For garbage-collected runtimes this
      * records unreachability; reclamation may be deferred to a GC cycle
-     * or to functionExit().
+     * or to functionExit(). A pointer that is not live raises
+     * SimError(ErrorCategory::Internal) before any state changes.
      */
-    virtual void free(Addr ptr, Env &env) = 0;
+    void free(Addr ptr, Env &env);
 
     /**
      * Function/process teardown: batch-free everything still live and
      * return memory to the OS (the "freed by the OS when the function
-     * exits" path of §2.2).
+     * exits" path of §2.2). The small heap goes first, then the large
+     * model.
      */
-    virtual void functionExit(Env &env) = 0;
+    void functionExit(Env &env);
 
     /** True when @p ptr is a live allocation (test/validation hook). */
-    virtual bool isLive(Addr ptr) const = 0;
+    bool isLive(Addr ptr) const { return live_.count(ptr) != 0; }
 
     /** Bytes currently live (requested sizes). */
-    virtual std::uint64_t liveBytes() const = 0;
+    std::uint64_t liveBytes() const { return liveBytes_; }
 
     /**
      * Fraction of small-object slots currently tracked by the
@@ -65,6 +76,32 @@ class Allocator
 
     /** Allocator display name. */
     virtual std::string name() const = 0;
+
+  protected:
+    /** @param prefix Stat prefix of the large model ("<prefix>.large_*"). */
+    Allocator(VirtualMemory &vm, StatRegistry &stats,
+              const std::string &prefix);
+
+    /** Allocate 1..kMaxSmallSize bytes from the model's small heap. */
+    virtual Addr smallMalloc(std::uint64_t size, Env &env) = 0;
+
+    /** Release a live small object (already removed from the ledger). */
+    virtual void smallFree(Addr ptr, Env &env) = 0;
+
+    /** Tear down the small heap (first step of functionExit()). */
+    virtual void smallExit(Env &env) = 0;
+
+    /** Live small objects (the ledger minus the large model's). */
+    std::size_t
+    liveSmallObjects() const
+    {
+        return live_.size() - large_.liveObjects();
+    }
+
+  private:
+    GlibcLargeAlloc large_;
+    std::unordered_map<Addr, std::uint64_t> live_; ///< ptr -> size.
+    std::uint64_t liveBytes_ = 0;
 };
 
 } // namespace memento

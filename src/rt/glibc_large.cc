@@ -30,8 +30,7 @@ GlibcLargeAlloc::malloc(std::uint64_t size, Env &env)
         Addr base = vm_.mmap(alignUp(need, kPageSize), &env);
         Addr user = base + kHeaderBytes;
         env.accessVirtual(base, AccessType::Write); // Chunk header.
-        live_[user] = Chunk{base, alignUp(need, kPageSize), size, true};
-        liveBytes_ += size;
+        live_[user] = Chunk{base, alignUp(need, kPageSize), true};
         return user;
     }
 
@@ -49,8 +48,7 @@ GlibcLargeAlloc::malloc(std::uint64_t size, Env &env)
             }
             env.accessVirtual(base, AccessType::Write);
             Addr user = base + kHeaderBytes;
-            live_[user] = Chunk{base, chunk_size, size, false};
-            liveBytes_ += size;
+            live_[user] = Chunk{base, chunk_size, false};
             return user;
         }
     }
@@ -67,8 +65,7 @@ GlibcLargeAlloc::malloc(std::uint64_t size, Env &env)
     topUsed_ += need;
     env.accessVirtual(base, AccessType::Write);
     Addr user = base + kHeaderBytes;
-    live_[user] = Chunk{base, need, size, false};
-    liveBytes_ += size;
+    live_[user] = Chunk{base, need, false};
     return user;
 }
 
@@ -82,7 +79,6 @@ GlibcLargeAlloc::free(Addr ptr, Env &env)
     ++frees_;
     const Chunk chunk = it->second;
     live_.erase(it);
-    liveBytes_ -= chunk.requested;
 
     env.chargeInstructions(60);
     env.accessVirtual(chunk.base, AccessType::Read); // Header check.
@@ -120,7 +116,6 @@ GlibcLargeAlloc::releaseAll(Env &env)
     while (!live_.empty())
         free(live_.begin()->first, env);
     freeChunks_.clear();
-    liveBytes_ = 0;
 }
 
 } // namespace memento

@@ -18,7 +18,6 @@
 
 #include "mem/env.h"
 #include "os/virtual_memory.h"
-#include "rt/allocator.h"
 #include "sim/stats.h"
 
 namespace memento {
@@ -44,8 +43,8 @@ class GlibcLargeAlloc
     /** True when @p ptr was allocated here and is live. */
     bool owns(Addr ptr) const { return live_.count(ptr) != 0; }
 
-    /** Live bytes (requested). */
-    std::uint64_t liveBytes() const { return liveBytes_; }
+    /** Number of live allocations. */
+    std::size_t liveObjects() const { return live_.size(); }
 
     /** Release everything (process teardown). */
     void releaseAll(Env &env);
@@ -54,8 +53,7 @@ class GlibcLargeAlloc
     struct Chunk
     {
         Addr base = 0;
-        std::uint64_t size = 0;      ///< Usable size incl. header.
-        std::uint64_t requested = 0; ///< Size the caller asked for.
+        std::uint64_t size = 0; ///< Usable size incl. header.
         bool mmapped = false;
     };
 
@@ -65,7 +63,6 @@ class GlibcLargeAlloc
     std::map<Addr, std::uint64_t> freeChunks_;
     /** Live allocations: user pointer -> chunk. */
     std::map<Addr, Chunk> live_;
-    std::uint64_t liveBytes_ = 0;
     Addr topBase_ = 0;   ///< Current top region (grown on demand).
     std::uint64_t topUsed_ = 0;
     std::uint64_t topSize_ = 0;

@@ -13,9 +13,9 @@ GoMalloc::GoMalloc(VirtualMemory &vm, StatRegistry &stats)
 }
 
 GoMalloc::GoMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
-    : vm_(vm),
+    : Allocator(vm, stats, "gomalloc"),
+      vm_(vm),
       params_(params),
-      large_(vm, stats, "gomalloc"),
       partialSpans_(kNumSmallClasses),
       smallMallocs_(stats.counter("gomalloc.small_mallocs")),
       deaths_(stats.counter("gomalloc.deaths")),
@@ -97,12 +97,8 @@ GoMalloc::spanForClass(unsigned cls, Env &env)
 }
 
 Addr
-GoMalloc::malloc(std::uint64_t size, Env &env)
+GoMalloc::smallMalloc(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "gomalloc: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     if (params_.gcTriggerBytes != 0 &&
         bytesSinceGc_ >= params_.gcTriggerBytes)
         runGc(env);
@@ -131,30 +127,17 @@ GoMalloc::malloc(std::uint64_t size, Env &env)
     // heap page on the allocation path.
     env.accessVirtual(obj, AccessType::Write);
 
-    live_[obj] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
     bytesSinceGc_ += sizeClassBytes(cls);
     return obj;
 }
 
 void
-GoMalloc::free(Addr ptr, Env &env)
+GoMalloc::smallFree(Addr ptr, Env &env)
 {
-    if (large_.owns(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
-
     // Becoming unreachable costs nothing at the moment of death; the
     // object is reclaimed by a future GC sweep (or batch-freed at
     // function exit by the OS).
-    auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "gomalloc: death of non-live 0x", std::hex,
-             ptr);
     ++deaths_;
-    liveBytes_ -= it->second;
-    live_.erase(it);
-
     Span &span = spans_.at(spanBaseOf(ptr));
     span.dead.push_back(ptr);
     --span.liveCount;
@@ -167,8 +150,8 @@ GoMalloc::runGc(Env &env)
     ++gcRuns_;
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
 
-    // Mark: proportional to the live set.
-    env.chargeInstructions(20 * live_.size() + 4000);
+    // Mark: proportional to the live small-object set.
+    env.chargeInstructions(20 * liveSmallObjects() + 4000);
 
     // Sweep in ascending span order: the sweep touches span metadata
     // (cache state) and appends reclaimed spans to the partial/idle
@@ -211,7 +194,7 @@ GoMalloc::runGc(Env &env)
 }
 
 void
-GoMalloc::functionExit(Env &env)
+GoMalloc::smallExit(Env &env)
 {
     // Batch free by the OS at process exit: unmap the reservations.
     CategoryScope scope(env.ledger(), CycleCategory::KernelOther);
@@ -223,10 +206,7 @@ GoMalloc::functionExit(Env &env)
     idleSpans_.clear();
     for (auto &list : partialSpans_)
         list.clear();
-    live_.clear();
-    liveBytes_ = 0;
     bytesSinceGc_ = 0;
-    large_.releaseAll(env);
 }
 
 double
@@ -245,12 +225,6 @@ GoMalloc::inactiveSlotFraction() const
     if (total == 0)
         return 0.0;
     return 1.0 - static_cast<double>(live) / static_cast<double>(total);
-}
-
-bool
-GoMalloc::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 } // namespace memento

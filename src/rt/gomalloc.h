@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
@@ -54,15 +53,6 @@ class GoMalloc : public Allocator
     GoMalloc(VirtualMemory &vm, StatRegistry &stats, Params params);
     GoMalloc(VirtualMemory &vm, StatRegistry &stats);
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     std::string name() const override { return "gomalloc"; }
     double inactiveSlotFraction() const override;
 
@@ -71,6 +61,11 @@ class GoMalloc : public Allocator
 
     /** Run a mark-and-sweep cycle now (also used by tests). */
     void runGc(Env &env);
+
+  protected:
+    Addr smallMalloc(std::uint64_t size, Env &env) override;
+    void smallFree(Addr ptr, Env &env) override;
+    void smallExit(Env &env) override;
 
   private:
     struct Span
@@ -91,7 +86,6 @@ class GoMalloc : public Allocator
 
     VirtualMemory &vm_;
     Params params_;
-    GlibcLargeAlloc large_;
 
     std::unordered_map<Addr, Span> spans_;
     std::vector<std::vector<Addr>> partialSpans_; ///< Per class.
@@ -103,8 +97,6 @@ class GoMalloc : public Allocator
     Addr metaRegion_ = 0;
     std::uint64_t metaCursor_ = 0;
 
-    std::unordered_map<Addr, std::uint32_t> live_;
-    std::uint64_t liveBytes_ = 0;
     std::uint64_t bytesSinceGc_ = 0;
 
     Counter smallMallocs_;

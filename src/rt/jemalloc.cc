@@ -13,9 +13,9 @@ JeMalloc::JeMalloc(VirtualMemory &vm, StatRegistry &stats)
 }
 
 JeMalloc::JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
-    : vm_(vm),
+    : Allocator(vm, stats, "jemalloc"),
+      vm_(vm),
       params_(params),
-      large_(vm, stats, "jemalloc"),
       tcache_(kNumSmallClasses),
       partialSlabs_(kNumSmallClasses),
       smallMallocs_(stats.counter("jemalloc.small_mallocs")),
@@ -210,12 +210,8 @@ JeMalloc::maybePurge(Env &env)
 }
 
 Addr
-JeMalloc::malloc(std::uint64_t size, Env &env)
+JeMalloc::smallMalloc(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "jemalloc: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     maybePurge(env);
 
     CategoryScope scope(env.ledger(), CycleCategory::UserAlloc);
@@ -231,26 +227,13 @@ JeMalloc::malloc(std::uint64_t size, Env &env)
 
     Addr obj = tcache_[cls].back();
     tcache_[cls].pop_back();
-
-    live_[obj] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
     return obj;
 }
 
 void
-JeMalloc::free(Addr ptr, Env &env)
+JeMalloc::smallFree(Addr ptr, Env &env)
 {
-    if (large_.owns(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
-
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
-    auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "jemalloc: bad free 0x", std::hex, ptr);
-    liveBytes_ -= it->second;
-    live_.erase(it);
-
     ++smallFrees_;
     env.chargeInstructions(params_.fastFreeInstructions);
 
@@ -265,7 +248,7 @@ JeMalloc::free(Addr ptr, Env &env)
 }
 
 void
-JeMalloc::functionExit(Env &env)
+JeMalloc::smallExit(Env &env)
 {
     // Process exit: chunks go back to the OS wholesale.
     CategoryScope scope(env.ledger(), CycleCategory::KernelOther);
@@ -277,10 +260,7 @@ JeMalloc::functionExit(Env &env)
         stack.clear();
     for (auto &list : partialSlabs_)
         list.clear();
-    live_.clear();
-    liveBytes_ = 0;
     chunkCursor_ = params_.chunkBytes; // Force a new chunk if reused.
-    large_.releaseAll(env);
 }
 
 double
@@ -302,12 +282,6 @@ JeMalloc::inactiveSlotFraction() const
     if (total == 0)
         return 0.0;
     return static_cast<double>(inactive) / static_cast<double>(total);
-}
-
-bool
-JeMalloc::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 } // namespace memento

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
@@ -60,17 +59,13 @@ class JeMalloc : public Allocator
     JeMalloc(VirtualMemory &vm, StatRegistry &stats, Params params);
     JeMalloc(VirtualMemory &vm, StatRegistry &stats);
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     std::string name() const override { return "jemalloc"; }
     double inactiveSlotFraction() const override;
+
+  protected:
+    Addr smallMalloc(std::uint64_t size, Env &env) override;
+    void smallFree(Addr ptr, Env &env) override;
+    void smallExit(Env &env) override;
 
   private:
     struct Slab
@@ -98,7 +93,6 @@ class JeMalloc : public Allocator
 
     VirtualMemory &vm_;
     Params params_;
-    GlibcLargeAlloc large_;
 
     std::vector<std::vector<Addr>> tcache_; ///< Per-class LIFO stacks.
     /** Slabs by base address. */
@@ -112,8 +106,6 @@ class JeMalloc : public Allocator
     /** tcache metadata region (bins array), one line per class. */
     Addr tcacheMeta_ = 0;
 
-    std::unordered_map<Addr, std::uint32_t> live_;
-    std::uint64_t liveBytes_ = 0;
     std::uint64_t opsSincePurge_ = 0;
 
     Counter smallMallocs_;

@@ -10,9 +10,9 @@ PyMalloc::PyMalloc(VirtualMemory &vm, StatRegistry &stats)
 }
 
 PyMalloc::PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
-    : vm_(vm),
+    : Allocator(vm, stats, "pymalloc"),
+      vm_(vm),
       params_(params),
-      large_(vm, stats, "pymalloc"),
       usedPools_(kNumSmallClasses),
       smallMallocs_(stats.counter("pymalloc.small_mallocs")),
       smallFrees_(stats.counter("pymalloc.small_frees")),
@@ -132,40 +132,21 @@ PyMalloc::carveBlock(Pool &pool, Env &env)
 }
 
 Addr
-PyMalloc::malloc(std::uint64_t size, Env &env)
+PyMalloc::smallMalloc(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "pymalloc: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     CategoryScope scope(env.ledger(), CycleCategory::UserAlloc);
     ++smallMallocs_;
     env.chargeInstructions(30); // PyObject_Malloc fast-path budget.
 
     const unsigned cls = sizeClassIndex(size);
     Pool &pool = poolForClass(cls, env);
-    Addr block = carveBlock(pool, env);
-
-    live_[block] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
-    return block;
+    return carveBlock(pool, env);
 }
 
 void
-PyMalloc::free(Addr ptr, Env &env)
+PyMalloc::smallFree(Addr ptr, Env &env)
 {
-    if (large_.owns(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
-
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
-    auto live_it = live_.find(ptr);
-    panic_if(live_it == live_.end(), "pymalloc: bad free 0x", std::hex,
-             ptr);
-    liveBytes_ -= live_it->second;
-    live_.erase(live_it);
-
     ++smallFrees_;
     env.chargeInstructions(26);
 
@@ -219,7 +200,7 @@ PyMalloc::releaseArena(Arena &arena, Env &env)
 }
 
 void
-PyMalloc::functionExit(Env &env)
+PyMalloc::smallExit(Env &env)
 {
     // Process exit: the OS tears down all mappings wholesale; no
     // per-object work happens in userspace.
@@ -234,9 +215,6 @@ PyMalloc::functionExit(Env &env)
         list.clear();
     freeArenaObjSlots_.clear();
     arenaObjCursor_ = 0;
-    live_.clear();
-    liveBytes_ = 0;
-    large_.releaseAll(env);
 }
 
 double
@@ -253,12 +231,6 @@ PyMalloc::inactiveSlotFraction() const
     if (total == 0)
         return 0.0;
     return 1.0 - static_cast<double>(used) / static_cast<double>(total);
-}
-
-bool
-PyMalloc::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 } // namespace memento

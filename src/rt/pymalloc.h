@@ -17,11 +17,9 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
@@ -43,20 +41,16 @@ class PyMalloc : public Allocator
     PyMalloc(VirtualMemory &vm, StatRegistry &stats, Params params);
     PyMalloc(VirtualMemory &vm, StatRegistry &stats);
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     std::string name() const override { return "pymalloc"; }
     double inactiveSlotFraction() const override;
 
     /** Number of live arenas (tests). */
     std::size_t arenaCount() const { return arenas_.size(); }
+
+  protected:
+    Addr smallMalloc(std::uint64_t size, Env &env) override;
+    void smallFree(Addr ptr, Env &env) override;
+    void smallExit(Env &env) override;
 
   private:
     struct Pool
@@ -102,7 +96,6 @@ class PyMalloc : public Allocator
 
     VirtualMemory &vm_;
     Params params_;
-    GlibcLargeAlloc large_;
 
     /**
      * Pools with free blocks per class; front = most recently used.
@@ -118,9 +111,6 @@ class PyMalloc : public Allocator
     std::uint64_t arenaObjCursor_ = 0;
     /** Recycled arena_object slots (CPython's unused_arena_objects). */
     std::vector<Addr> freeArenaObjSlots_;
-
-    std::unordered_map<Addr, std::uint32_t> live_; ///< ptr -> size.
-    std::uint64_t liveBytes_ = 0;
 
     Counter smallMallocs_;
     Counter smallFrees_;

@@ -10,9 +10,9 @@ TcMalloc::TcMalloc(VirtualMemory &vm, StatRegistry &stats)
 }
 
 TcMalloc::TcMalloc(VirtualMemory &vm, StatRegistry &stats, Params params)
-    : vm_(vm),
+    : Allocator(vm, stats, "tcmalloc"),
+      vm_(vm),
       params_(params),
-      large_(vm, stats, "tcmalloc"),
       cache_(kNumSmallClasses),
       central_(kNumSmallClasses),
       openSpan_(kNumSmallClasses, kNullAddr),
@@ -108,12 +108,8 @@ TcMalloc::release(unsigned cls, Env &env)
 }
 
 Addr
-TcMalloc::malloc(std::uint64_t size, Env &env)
+TcMalloc::smallMalloc(std::uint64_t size, Env &env)
 {
-    panic_if(size == 0, "tcmalloc: zero-size malloc");
-    if (size > kMaxSmallSize)
-        return large_.malloc(size, env);
-
     CategoryScope scope(env.ledger(), CycleCategory::UserAlloc);
     ++smallMallocs_;
     env.chargeInstructions(params_.cachedPathInstructions +
@@ -132,26 +128,13 @@ TcMalloc::malloc(std::uint64_t size, Env &env)
         env.accessVirtual(obj, AccessType::Read);
     }
     ++spanOf(obj).live;
-
-    live_[obj] = static_cast<std::uint32_t>(size);
-    liveBytes_ += size;
     return obj;
 }
 
 void
-TcMalloc::free(Addr ptr, Env &env)
+TcMalloc::smallFree(Addr ptr, Env &env)
 {
-    if (large_.owns(ptr)) {
-        large_.free(ptr, env);
-        return;
-    }
-
     CategoryScope scope(env.ledger(), CycleCategory::UserFree);
-    auto it = live_.find(ptr);
-    panic_if(it == live_.end(), "tcmalloc: bad free 0x", std::hex, ptr);
-    liveBytes_ -= it->second;
-    live_.erase(it);
-
     ++smallFrees_;
     env.chargeInstructions(params_.cachedPathInstructions / 2 +
                            params_.restOfFastPathInstructions / 2);
@@ -167,7 +150,7 @@ TcMalloc::free(Addr ptr, Env &env)
 }
 
 void
-TcMalloc::functionExit(Env &env)
+TcMalloc::smallExit(Env &env)
 {
     // TCMalloc famously does not return memory eagerly; process exit
     // lets the OS unmap everything. Regions are unmapped here for the
@@ -185,15 +168,6 @@ TcMalloc::functionExit(Env &env)
     growBase_ = 0;
     growUsed_ = 0;
     growSize_ = 0;
-    live_.clear();
-    liveBytes_ = 0;
-    large_.releaseAll(env);
-}
-
-bool
-TcMalloc::isLive(Addr ptr) const
-{
-    return live_.count(ptr) != 0 || large_.owns(ptr);
 }
 
 double

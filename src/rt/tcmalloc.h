@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "rt/allocator.h"
-#include "rt/glibc_large.h"
 #include "sim/size_class.h"
 #include "sim/stats.h"
 
@@ -58,17 +57,13 @@ class TcMalloc : public Allocator
     TcMalloc(VirtualMemory &vm, StatRegistry &stats, Params params);
     TcMalloc(VirtualMemory &vm, StatRegistry &stats);
 
-    Addr malloc(std::uint64_t size, Env &env) override;
-    void free(Addr ptr, Env &env) override;
-    void functionExit(Env &env) override;
-    bool isLive(Addr ptr) const override;
-    std::uint64_t
-    liveBytes() const override
-    {
-        return liveBytes_ + large_.liveBytes();
-    }
     double inactiveSlotFraction() const override;
     std::string name() const override { return "tcmalloc"; }
+
+  protected:
+    Addr smallMalloc(std::uint64_t size, Env &env) override;
+    void smallFree(Addr ptr, Env &env) override;
+    void smallExit(Env &env) override;
 
   private:
     struct Span
@@ -88,7 +83,6 @@ class TcMalloc : public Allocator
 
     VirtualMemory &vm_;
     Params params_;
-    GlibcLargeAlloc large_;
 
     /** Thread cache: per-class LIFO of object addresses. */
     std::vector<std::vector<Addr>> cache_;
@@ -108,9 +102,6 @@ class TcMalloc : public Allocator
 
     /** Central/pageheap metadata region (pre-populated, warm). */
     Addr metaRegion_ = 0;
-
-    std::unordered_map<Addr, std::uint32_t> live_;
-    std::uint64_t liveBytes_ = 0;
 
     Counter smallMallocs_;
     Counter smallFrees_;

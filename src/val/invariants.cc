@@ -171,13 +171,7 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
 
         // Validate arenas in ascending VA order so a report with
         // several violations lists them deterministically.
-        std::vector<Addr> arena_vas;
-        arena_vas.reserve(space->arenas.size());
-        for (const auto &[va, state] :
-             space->arenas) // lint-src: allow(src-unordered-iteration)
-            arena_vas.push_back(va);
-        std::sort(arena_vas.begin(), arena_vas.end());
-        for (Addr va : arena_vas) {
+        for (Addr va : space->arenaBasesAscending()) {
             const ArenaState &state = space->arenas.at(va);
             std::ostringstream who_arena;
             who_arena << who << ": arena 0x" << std::hex << va;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit and property tests for the software allocator models
- * (pymalloc, jemalloc, gomalloc, glibc-large) and the shared
- * Allocator contract.
+ * (pymalloc, jemalloc, gomalloc, tcmalloc, glibc-large) and the
+ * Allocator contract shared by every backend, Memento and Mallacc
+ * included.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include "rt/pymalloc.h"
 #include "rt/tcmalloc.h"
 #include "hw/mallacc.h"
+#include "machine/machine.h"
+#include "sim/error.h"
 #include "sim/rng.h"
 #include "sim/size_class.h"
 #include "test_util.h"
@@ -464,7 +467,59 @@ TEST_F(GlibcTest, OwnsOnlyLivePointers)
 // Cross-allocator property tests
 // ---------------------------------------------------------------------
 
-enum class Kind { Py, Je, Go, Tc };
+enum class Kind { Py, Je, Go, Tc, Memento, Mallacc };
+
+/**
+ * One allocator backend with the plumbing it runs on: the software
+ * models get a bare VirtualMemory and a TestEnv; Memento needs the
+ * hardware, so it runs inside a Machine.
+ */
+class Backend
+{
+  public:
+    explicit Backend(Kind kind)
+        : buddy_(1ull << 22, 1ull << 30, stats_),
+          vm_(cfg_, buddy_, stats_, "vm")
+    {
+        switch (kind) {
+          case Kind::Py:
+            owned_ = std::make_unique<PyMalloc>(vm_, stats_);
+            break;
+          case Kind::Je:
+            owned_ = std::make_unique<JeMalloc>(vm_, stats_);
+            break;
+          case Kind::Go:
+            owned_ = std::make_unique<GoMalloc>(vm_, stats_);
+            break;
+          case Kind::Tc:
+            owned_ = std::make_unique<TcMalloc>(vm_, stats_);
+            break;
+          case Kind::Mallacc:
+            owned_ = std::make_unique<MallaccAllocator>(vm_, stats_);
+            break;
+          case Kind::Memento: {
+            machine_ = std::make_unique<Machine>(test::smallMementoConfig());
+            WorkloadSpec spec;
+            spec.id = "property";
+            spec.lang = Language::Cpp;
+            machine_->createProcess(spec);
+            break;
+          }
+        }
+    }
+
+    Allocator &alloc() { return machine_ ? machine_->allocator() : *owned_; }
+    Env &env() { return machine_ ? static_cast<Env &>(*machine_) : env_; }
+
+  private:
+    MachineConfig cfg_;
+    StatRegistry stats_;
+    BuddyAllocator buddy_;
+    VirtualMemory vm_;
+    TestEnv env_;
+    std::unique_ptr<Allocator> owned_;
+    std::unique_ptr<Machine> machine_;
+};
 
 class AllocatorPropertyTest
     : public ::testing::TestWithParam<std::tuple<Kind, std::uint64_t>>
@@ -474,27 +529,9 @@ class AllocatorPropertyTest
 TEST_P(AllocatorPropertyTest, RandomTrafficNeverOverlapsLiveObjects)
 {
     auto [kind, seed] = GetParam();
-    MachineConfig cfg;
-    StatRegistry stats;
-    BuddyAllocator buddy(1ull << 22, 1ull << 30, stats);
-    VirtualMemory vm(cfg, buddy, stats, "vm");
-    TestEnv env;
-
-    std::unique_ptr<Allocator> alloc;
-    switch (kind) {
-      case Kind::Py:
-        alloc = std::make_unique<PyMalloc>(vm, stats);
-        break;
-      case Kind::Je:
-        alloc = std::make_unique<JeMalloc>(vm, stats);
-        break;
-      case Kind::Go:
-        alloc = std::make_unique<GoMalloc>(vm, stats);
-        break;
-      case Kind::Tc:
-        alloc = std::make_unique<TcMalloc>(vm, stats);
-        break;
-    }
+    Backend backend(kind);
+    Allocator *alloc = &backend.alloc();
+    Env &env = backend.env();
 
     Rng rng(seed);
     std::map<Addr, std::uint64_t> live; // base -> size
@@ -503,9 +540,12 @@ TEST_P(AllocatorPropertyTest, RandomTrafficNeverOverlapsLiveObjects)
 
     for (int i = 0; i < 8000; ++i) {
         if (order.empty() || rng.nextBool(0.58)) {
-            std::uint64_t size = rng.nextBool(0.97)
-                                     ? rng.nextRange(1, 512)
-                                     : rng.nextRange(513, 8192);
+            // Small, medium (large model's bins) and at least 128 KiB
+            // (the large model's own-mapping path).
+            std::uint64_t size =
+                rng.nextBool(0.97)  ? rng.nextRange(1, 512)
+                : rng.nextBool(0.8) ? rng.nextRange(513, 8192)
+                                    : rng.nextRange(128 << 10, 512 << 10);
             Addr p = alloc->malloc(size, env);
             ASSERT_NE(p, kNullAddr);
             // Overlap check against neighbours in address order.
@@ -541,9 +581,74 @@ TEST_P(AllocatorPropertyTest, RandomTrafficNeverOverlapsLiveObjects)
 
 INSTANTIATE_TEST_SUITE_P(
     AllAllocators, AllocatorPropertyTest,
-    ::testing::Combine(::testing::Values(Kind::Py, Kind::Je,
-                                         Kind::Go, Kind::Tc),
+    ::testing::Combine(::testing::Values(Kind::Py, Kind::Je, Kind::Go,
+                                         Kind::Tc, Kind::Memento,
+                                         Kind::Mallacc),
                        ::testing::Values(1u, 2u, 3u, 4u)));
+
+std::string
+kindName(Kind kind)
+{
+    static const char *const names[] = {"Py", "Je",      "Go",
+                                        "Tc", "Memento", "Mallacc"};
+    return names[static_cast<int>(kind)];
+}
+
+class AllocatorMisuseTest : public ::testing::TestWithParam<Kind>
+{
+};
+
+/** Expect a SimError(Internal) from freeing @p ptr, with no state change. */
+void
+expectRejectedFree(Allocator &alloc, Env &env, Addr ptr,
+                   const std::vector<Addr> &live)
+{
+    const std::uint64_t bytes = alloc.liveBytes();
+    try {
+        alloc.free(ptr, env);
+        ADD_FAILURE() << "free of 0x" << std::hex << ptr << " accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Internal);
+    }
+    EXPECT_EQ(alloc.liveBytes(), bytes);
+    EXPECT_FALSE(alloc.isLive(ptr));
+    for (Addr p : live)
+        EXPECT_TRUE(alloc.isLive(p));
+}
+
+TEST_P(AllocatorMisuseTest, DoubleAndForeignFreesThrowWithoutEffect)
+{
+    Backend backend(GetParam());
+    Allocator &alloc = backend.alloc();
+    Env &env = backend.env();
+
+    // One object per path: small, large-model bins, large-model mmap.
+    std::vector<Addr> live;
+    for (std::uint64_t size : {64u, 4096u, 256u << 10})
+        live.push_back(alloc.malloc(size, env));
+    for (std::uint64_t size : {48u, 2048u, 192u << 10}) {
+        const Addr freed = alloc.malloc(size, env);
+        alloc.free(freed, env);
+        expectRejectedFree(alloc, env, freed, live); // Double free.
+    }
+    for (Addr p : live)
+        expectRejectedFree(alloc, env, p + 8, live); // Interior pointer.
+    expectRejectedFree(alloc, env, kNullAddr, live);
+
+    // The allocator is still usable: every live object frees cleanly.
+    for (Addr p : live)
+        alloc.free(p, env);
+    EXPECT_EQ(alloc.liveBytes(), 0u);
+    alloc.functionExit(env);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAllocators, AllocatorMisuseTest,
+    ::testing::Values(Kind::Py, Kind::Je, Kind::Go, Kind::Tc,
+                      Kind::Memento, Kind::Mallacc),
+    [](const ::testing::TestParamInfo<Kind> &info) {
+        return kindName(info.param);
+    });
 
 } // namespace
 } // namespace memento

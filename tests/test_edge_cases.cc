@@ -74,7 +74,7 @@ TEST(BypassRange, AccessToUnknownArenaIsNotEligible)
 // Public allocator API misuse
 // ---------------------------------------------------------------------
 
-TEST(ApiMisuseDeath, MementoDoubleFreePanics)
+TEST(ApiMisuse, MementoDoubleFreeThrows)
 {
     Machine m(test::smallMementoConfig());
     WorkloadSpec spec;
@@ -83,7 +83,15 @@ TEST(ApiMisuseDeath, MementoDoubleFreePanics)
     m.createProcess(spec);
     Addr a = m.allocator().malloc(64, m);
     m.allocator().free(a, m);
-    EXPECT_DEATH(m.allocator().free(a, m), "free");
+    const Cycles before = m.now();
+    try {
+        m.allocator().free(a, m);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Internal);
+        EXPECT_NE(std::string(e.what()).find("free"), std::string::npos);
+    }
+    EXPECT_EQ(m.now(), before); // Rejected before any hardware work.
 }
 
 TEST(ApiMisuseDeath, ZeroSizeMallocIsFatal)
@@ -182,7 +190,7 @@ TEST_F(GlibcEdge, ManySizesNoOverlapAcrossGrowth)
     }
     for (auto &[base, len] : live)
         alloc.free(base, env);
-    EXPECT_EQ(alloc.liveBytes(), 0u);
+    EXPECT_EQ(alloc.liveObjects(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -244,6 +244,28 @@ TEST(ExecutorTest, RunRangeInterleavesAcrossProcesses)
     EXPECT_EQ(e1.liveObjects(), 0u);
 }
 
+TEST(ExecutorTest, ZeroSizeMallocIsATraceError)
+{
+    WorkloadSpec spec = tinySpec(Language::Python);
+    const Trace trace = {{OpKind::Compute, 10, 0, 0},
+                         {OpKind::Malloc, 0, 1, 0},
+                         {OpKind::Free, 0, 1, 0},
+                         {OpKind::FunctionEnd, 0, 0, 0}};
+    Machine m(test::smallConfig());
+    m.createProcess(spec);
+    FunctionExecutor ex(m);
+    try {
+        ex.run(spec, trace);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Trace);
+        EXPECT_EQ(e.opIndex(), 1u);
+        EXPECT_NE(std::string(e.what()).find("zero-size"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(m.allocator().liveBytes(), 0u);
+}
+
 TEST(ExecutorTest, FragSampleCapturedBeforeTeardown)
 {
     WorkloadSpec spec = tinySpec(Language::Python);
