@@ -2,13 +2,18 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's own hot paths:
  * how fast the host executes simulated obj-alloc/obj-free, software
- * allocator operations, cache accesses, and page walks. These guard
- * the simulator's throughput (host-seconds per simulated operation),
- * not the simulated latencies.
+ * allocator operations, cache accesses, page walks, and the fleet
+ * event loop. These guard the simulator's throughput (host-seconds per
+ * simulated operation), not the simulated latencies.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
+#include "fleet/arrivals.h"
+#include "fleet/fleet.h"
 #include "machine/machine.h"
 #include "wl/trace_generator.h"
 #include "wl/workloads.h"
@@ -24,7 +29,7 @@ BM_MementoAllocFree(benchmark::State &state)
     machine.createProcess(workloadById("aes"));
     Allocator &alloc = machine.allocator();
     for (auto _ : state) {
-        Addr a = alloc.malloc(64, machine);
+        const Addr a = alloc.malloc(64, machine);
         benchmark::DoNotOptimize(a);
         alloc.free(a, machine);
     }
@@ -38,11 +43,20 @@ BM_PyMallocAllocFree(benchmark::State &state)
     Machine machine(defaultConfig());
     machine.createProcess(workloadById("aes"));
     Allocator &alloc = machine.allocator();
+    // One object live across the loop keeps its arena mapped; without
+    // it every iteration would map, fault and unmap a whole arena.
+    const Addr pinned = alloc.malloc(64, machine);
     for (auto _ : state) {
-        Addr a = alloc.malloc(64, machine);
+        const Addr a = alloc.malloc(64, machine);
         benchmark::DoNotOptimize(a);
         alloc.free(a, machine);
     }
+    const std::uint64_t mmaps =
+        machine.stats().value("pymalloc.arena_mmaps");
+    state.counters["arena_mmaps"] = static_cast<double>(mmaps);
+    if (mmaps != 1)
+        state.SkipWithError("pymalloc mapped more than one arena");
+    alloc.free(pinned, machine);
     state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_PyMallocAllocFree);
@@ -73,6 +87,39 @@ BM_TraceGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceGeneration);
+
+void
+BM_SimulateFleet(benchmark::State &state)
+{
+    // The fleet event loop alone, at the shape of a function node:
+    // 16 synthetic profiles, 8 cores, Poisson arrivals at 200 rps,
+    // 50 ms keep-alive and a 45 000-page budget, so expiry, warm reuse
+    // and eviction all run.
+    MachineConfig cfg = defaultConfig();
+    cfg.fleet.arrival = "poisson";
+    cfg.fleet.cores = 8;
+    cfg.fleet.ratePerSec = 200.0;
+    cfg.fleet.keepAliveMs = 50.0;
+    cfg.fleet.memoryBudgetPages = 45'000;
+    cfg.fleet.invocations = 200'000;
+    std::vector<FleetProfile> profiles;
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        FleetProfile p;
+        p.id = "synthetic" + std::to_string(i);
+        p.serviceCycles = 12'000'000 + 10'000'000 * i;
+        p.pages = 150 + 300 * i;
+        profiles.push_back(p);
+    }
+    const std::vector<Arrival> arrivals =
+        generateArrivals(cfg, profiles.size());
+    for (auto _ : state) {
+        const FleetMetrics m = simulateFleet(arrivals, profiles, cfg);
+        benchmark::DoNotOptimize(m.digest);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(arrivals.size()));
+}
+BENCHMARK(BM_SimulateFleet)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -21,18 +20,30 @@ namespace {
 /** Sentinel folded into the digest for a rejected arrival. */
 constexpr std::uint64_t kRejectedMark = ~0ull;
 
-/** Nearest-rank percentile (num/den) of an ascending latency vector. */
+/**
+ * Nearest-rank percentile (num/den) of @p latencies, selected rather
+ * than sorted. Calls must come in ascending percentile order, with
+ * @p from the position the previous call selected (0 before the
+ * first): std::nth_element leaves [from, end) holding exactly the
+ * values of sorted positions from.., so each selection searches only
+ * that tail.
+ */
 Cycles
-nearestRank(const std::vector<Cycles> &sorted, std::uint64_t num,
-            std::uint64_t den)
+selectNearestRank(std::vector<Cycles> &latencies, std::size_t &from,
+                  std::uint64_t num, std::uint64_t den)
 {
-    if (sorted.empty())
+    if (latencies.empty())
         return 0;
-    const auto n = static_cast<std::uint64_t>(sorted.size());
+    const auto n = static_cast<std::uint64_t>(latencies.size());
     std::uint64_t rank = (num * n + den - 1) / den; // ceil(num/den * n)
     if (rank == 0)
         rank = 1;
-    return sorted[rank - 1];
+    const auto nth =
+        latencies.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(latencies.begin() + static_cast<std::ptrdiff_t>(from),
+                     nth, latencies.end());
+    from = rank - 1;
+    return *nth;
 }
 
 /** One core of the simulated node. */
@@ -49,12 +60,17 @@ struct CoreState
 /** One resident function instance (warm container). */
 struct InstanceState
 {
-    std::size_t workload = 0;
-    unsigned core = 0;
-    std::uint64_t pages = 0;
     /** Busy until this cycle; idle (warm) afterwards. */
     Cycles busyUntil = 0;
+    std::size_t workload = 0;
+    /** Creation order, from 1 (0 marks a fresh core). */
+    std::uint64_t id = 0;
+    std::uint64_t pages = 0;
+    unsigned core = 0;
 };
+
+/** "No instance" index into the instance table. */
+constexpr std::size_t kNoInstance = ~std::size_t{0};
 
 std::string
 u64Field(std::string_view key, std::uint64_t v, bool last = false)
@@ -159,7 +175,14 @@ fleetMix(const FleetConfig &fleet)
         return workloadsByDomain(Domain::Function);
     if (fleet.mix == "all")
         return allWorkloads();
-    return {workloadById(fleet.mix)};
+    std::string ids;
+    for (const WorkloadSpec &spec : allWorkloads()) {
+        if (spec.id == fleet.mix)
+            return {spec};
+        ids += ", " + spec.id;
+    }
+    sim_error(ErrorCategory::Config, "fleet.mix '", fleet.mix,
+              "' is not one of function, all", ids);
 }
 
 Cycles
@@ -240,9 +263,9 @@ simulateFleet(const std::vector<Arrival> &arrivals,
     const Cycles cold_setup = fleetColdSetupCost(cfg);
 
     std::vector<CoreState> cores(fleet.cores);
-    // Instances keyed by id: iteration order == creation order, so
-    // every scan below is deterministic.
-    std::map<std::uint64_t, InstanceState> instances;
+    // Resident instances in creation (= id) order, so every scan below
+    // is deterministic and "first found" means "lowest id".
+    std::vector<InstanceState> instances;
     std::uint64_t next_instance_id = 1;
     std::uint64_t rss_pages = 0;
 
@@ -281,57 +304,57 @@ simulateFleet(const std::vector<Arrival> &arrivals,
 
         // 1. Keep-alive expiry: an instance idle since busyUntil lapses
         // once its idle span exceeds the keep-alive window.
-        for (auto it = instances.begin(); it != instances.end();) {
-            if (it->second.busyUntil + keep_alive <= t) {
-                rss_pages -= it->second.pages;
-                ++m.expirations;
-                it = instances.erase(it);
-            } else {
-                ++it;
-            }
-        }
-
         // 2. Warm path: an idle, unexpired instance of this workload.
         // Prefer the most recently used (tie: lowest id) — MRU reuse
         // lets the cold tail expire instead of round-robining it warm.
-        std::uint64_t warm_id = 0;
-        for (const auto &[id, inst] : instances) {
-            if (inst.workload != arr.workloadIndex || inst.busyUntil > t)
+        // Both happen in one compaction pass over the table.
+        std::size_t warm = kNoInstance;
+        std::size_t kept = 0;
+        for (const InstanceState &inst : instances) {
+            if (inst.busyUntil + keep_alive <= t) {
+                rss_pages -= inst.pages;
+                ++m.expirations;
                 continue;
-            if (warm_id == 0 ||
-                inst.busyUntil > instances[warm_id].busyUntil)
-                warm_id = id;
+            }
+            if (inst.workload == arr.workloadIndex && inst.busyUntil <= t &&
+                (warm == kNoInstance ||
+                 inst.busyUntil > instances[warm].busyUntil))
+                warm = kept;
+            instances[kept++] = inst;
         }
+        instances.resize(kept);
 
         Cycles setup = 0;
-        std::uint64_t run_id = warm_id;
-        if (warm_id != 0) {
+        std::size_t run = warm;
+        if (warm != kNoInstance) {
             ++m.warmHits;
         } else {
             // 3. Cold path: admit a new instance, evicting idle ones
-            // LRU-first while over the memory budget. The munmap-model
-            // reclaim cost of every eviction is charged to this
-            // arrival's latency — memory pressure is not free.
+            // LRU-first (tie: lowest id) while over the memory budget.
+            // The munmap-model reclaim cost of every eviction is
+            // charged to this arrival's latency — memory pressure is
+            // not free.
             bool admitted = budget == 0 || prof.pages <= budget;
             while (budget != 0 && admitted &&
                    rss_pages + prof.pages > budget) {
-                std::uint64_t victim = 0;
-                for (const auto &[id, inst] : instances) {
-                    if (inst.busyUntil > t)
+                std::size_t victim = kNoInstance;
+                for (std::size_t i = 0; i < instances.size(); ++i) {
+                    if (instances[i].busyUntil > t)
                         continue; // Busy instances are unevictable.
-                    if (victim == 0 ||
-                        inst.busyUntil < instances[victim].busyUntil)
-                        victim = id;
+                    if (victim == kNoInstance ||
+                        instances[i].busyUntil < instances[victim].busyUntil)
+                        victim = i;
                 }
-                if (victim == 0) {
+                if (victim == kNoInstance) {
                     admitted = false; // Nothing left to evict.
                     break;
                 }
-                const InstanceState &v = instances[victim];
-                rss_pages -= v.pages;
-                setup += fleetReclaimCost(cfg, v.pages);
+                const std::uint64_t pages = instances[victim].pages;
+                rss_pages -= pages;
+                setup += fleetReclaimCost(cfg, pages);
                 ++m.evictions;
-                instances.erase(victim);
+                instances.erase(instances.begin() +
+                                static_cast<std::ptrdiff_t>(victim));
             }
             if (!admitted) {
                 ++m.rejected;
@@ -348,10 +371,11 @@ simulateFleet(const std::vector<Arrival> &arrivals,
             }
             InstanceState inst;
             inst.workload = arr.workloadIndex;
-            inst.core = core;
+            inst.id = next_instance_id++;
             inst.pages = prof.pages;
-            run_id = next_instance_id++;
-            instances[run_id] = inst;
+            inst.core = core;
+            run = instances.size();
+            instances.push_back(inst);
             rss_pages += prof.pages;
             m.peakRssPages = std::max(m.peakRssPages, rss_pages);
             ++m.coldStarts;
@@ -360,17 +384,17 @@ simulateFleet(const std::vector<Arrival> &arrivals,
 
         // 4. Dispatch: switching the core away from another instance
         // flushes the HOT residue that instance left (kernel_cost.h).
-        InstanceState &inst = instances[run_id];
+        InstanceState &inst = instances[run];
         CoreState &core = cores[inst.core];
         Cycles switch_cost = 0;
-        if (core.lastInstance != run_id) {
+        if (core.lastInstance != inst.id) {
             switch_cost = fleetSwitchCost(cfg, core.lastHotValid);
         }
         const Cycles start = std::max(t, core.freeAt);
         const Cycles end =
             start + switch_cost + setup + prof.serviceCycles;
         core.freeAt = end;
-        core.lastInstance = run_id;
+        core.lastInstance = inst.id;
         core.lastHotValid = prof.hotValidEntries;
         inst.busyUntil = end;
 
@@ -390,10 +414,10 @@ simulateFleet(const std::vector<Arrival> &arrivals,
             static_cast<std::uint64_t>(instances.size()) *
             (m.makespanCycles - prev_t);
 
-    std::sort(latencies.begin(), latencies.end());
-    m.p50Cycles = nearestRank(latencies, 50, 100);
-    m.p99Cycles = nearestRank(latencies, 99, 100);
-    m.p999Cycles = nearestRank(latencies, 999, 1000);
+    std::size_t from = 0;
+    m.p50Cycles = selectNearestRank(latencies, from, 50, 100);
+    m.p99Cycles = selectNearestRank(latencies, from, 99, 100);
+    m.p999Cycles = selectNearestRank(latencies, from, 999, 1000);
 
     // Fold the counters and the final node state, so the digest pins
     // the complete outcome, not just the per-arrival trajectory.

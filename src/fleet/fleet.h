@@ -1,7 +1,7 @@
 /**
  * @file
- * Fleet-scale serverless node simulation (ROADMAP item 1: the
- * "millions of users" scenario).
+ * Single-node serverless simulation: keep-alive, eviction and
+ * arena-granular reclaim under load.
  *
  * One `memento_sim fleet` run models a whole multi-tenant node instead
  * of a single invocation: an open-loop arrival process (fleet/arrivals.h)
@@ -22,7 +22,9 @@
  *     is the invocation's service time (cycles), its resident-set size
  *     (pages), and the HOT residue it leaves on a core (valid entries).
  *  2. Fleet stage (serial, integer-cycle event loop): arrivals are
- *     replayed in time order against per-core and per-instance state.
+ *     replayed in time order against per-core state and a flat table
+ *     of resident instances kept in creation order, so every scan is
+ *     deterministic and ties go to the oldest instance.
  *     A context switch onto a core charges the multi-proc sensitivity
  *     cost model of os/kernel_cost.h — kernel.context_switch_cycles
  *     plus one HOT-entry writeback per valid entry left by the
@@ -127,9 +129,9 @@ struct FleetOptions
 };
 
 /**
- * Resolve fleet.mix to workload specs: "function" (the 14 function
- * workloads), "all" (all 23), or one workload id. fatal()s on an
- * unknown id, like workloadById.
+ * Resolve fleet.mix to workload specs: "function" (the 16 function
+ * workloads), "all" (all 23), or one workload id. Throws
+ * SimError(Config), naming the valid values, on anything else.
  */
 std::vector<WorkloadSpec> fleetMix(const FleetConfig &fleet);
 

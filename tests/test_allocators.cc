@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
 #include "rt/glibc_large.h"
 #include "rt/gomalloc.h"
@@ -467,12 +468,19 @@ TEST_F(GlibcTest, OwnsOnlyLivePointers)
 // Cross-allocator property tests
 // ---------------------------------------------------------------------
 
-enum class Kind { Py, Je, Go, Tc, Memento, Mallacc };
+enum class Kind { Py, Je, Go, Tc, Memento, Mallacc, GlibcLarge };
+
+/** The six Allocator backends. */
+constexpr Kind kAllocatorKinds[] = {Kind::Py, Kind::Je,      Kind::Go,
+                                    Kind::Tc, Kind::Memento, Kind::Mallacc};
 
 /**
  * One allocator backend with the plumbing it runs on: the software
  * models get a bare VirtualMemory and a TestEnv; Memento needs the
- * hardware, so it runs inside a Machine.
+ * hardware, so it runs inside a Machine. GlibcLarge is the bare
+ * large-object model every Allocator routes sizes above kMaxSmallSize
+ * to; it is not an Allocator, so only the property test drives it,
+ * through large().
  */
 class Backend
 {
@@ -505,11 +513,17 @@ class Backend
             machine_->createProcess(spec);
             break;
           }
+          case Kind::GlibcLarge:
+            large_ = std::make_unique<GlibcLargeAlloc>(vm_, stats_, "g");
+            break;
         }
     }
 
     Allocator &alloc() { return machine_ ? machine_->allocator() : *owned_; }
     Env &env() { return machine_ ? static_cast<Env &>(*machine_) : env_; }
+    StatRegistry &stats() { return machine_ ? machine_->stats() : stats_; }
+    /** The bare large-object model (Kind::GlibcLarge), else null. */
+    GlibcLargeAlloc *large() { return large_.get(); }
 
   private:
     MachineConfig cfg_;
@@ -519,6 +533,7 @@ class Backend
     TestEnv env_;
     std::unique_ptr<Allocator> owned_;
     std::unique_ptr<Machine> machine_;
+    std::unique_ptr<GlibcLargeAlloc> large_;
 };
 
 class AllocatorPropertyTest
@@ -530,8 +545,21 @@ TEST_P(AllocatorPropertyTest, RandomTrafficNeverOverlapsLiveObjects)
 {
     auto [kind, seed] = GetParam();
     Backend backend(kind);
-    Allocator *alloc = &backend.alloc();
     Env &env = backend.env();
+    // The bare large model takes only sizes above kMaxSmallSize and
+    // keeps no byte count, so it is checked by live-object count.
+    GlibcLargeAlloc *large = backend.large();
+    const std::uint64_t size_floor = large ? kMaxSmallSize : 0;
+    const auto malloc_ = [&](std::uint64_t size) {
+        return large ? large->malloc(size, env)
+                     : backend.alloc().malloc(size, env);
+    };
+    const auto free_ = [&](Addr p) {
+        large ? large->free(p, env) : backend.alloc().free(p, env);
+    };
+    const auto is_live = [&](Addr p) {
+        return large ? large->owns(p) : backend.alloc().isLive(p);
+    };
 
     Rng rng(seed);
     std::map<Addr, std::uint64_t> live; // base -> size
@@ -546,7 +574,8 @@ TEST_P(AllocatorPropertyTest, RandomTrafficNeverOverlapsLiveObjects)
                 rng.nextBool(0.97)  ? rng.nextRange(1, 512)
                 : rng.nextBool(0.8) ? rng.nextRange(513, 8192)
                                     : rng.nextRange(128 << 10, 512 << 10);
-            Addr p = alloc->malloc(size, env);
+            size += size_floor;
+            Addr p = malloc_(size);
             ASSERT_NE(p, kNullAddr);
             // Overlap check against neighbours in address order.
             auto next = live.lower_bound(p);
@@ -561,29 +590,37 @@ TEST_P(AllocatorPropertyTest, RandomTrafficNeverOverlapsLiveObjects)
             live[p] = size;
             order.push_back(p);
             live_bytes += size;
-            ASSERT_TRUE(alloc->isLive(p));
+            ASSERT_TRUE(is_live(p));
         } else {
             std::size_t pick = rng.nextBelow(order.size());
             Addr p = order[pick];
             std::uint64_t size = live.at(p);
-            alloc->free(p, env);
-            ASSERT_FALSE(alloc->isLive(p));
+            free_(p);
+            ASSERT_FALSE(is_live(p));
             live.erase(p);
             order.erase(order.begin() + pick);
             live_bytes -= size;
         }
-        ASSERT_EQ(alloc->liveBytes(), live_bytes);
+        if (large)
+            ASSERT_EQ(large->liveObjects(), order.size());
+        else
+            ASSERT_EQ(backend.alloc().liveBytes(), live_bytes);
     }
 
-    alloc->functionExit(env);
-    EXPECT_EQ(alloc->liveBytes(), 0u);
+    if (large) {
+        large->releaseAll(env);
+        EXPECT_EQ(large->liveObjects(), 0u);
+    } else {
+        backend.alloc().functionExit(env);
+        EXPECT_EQ(backend.alloc().liveBytes(), 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllAllocators, AllocatorPropertyTest,
     ::testing::Combine(::testing::Values(Kind::Py, Kind::Je, Kind::Go,
                                          Kind::Tc, Kind::Memento,
-                                         Kind::Mallacc),
+                                         Kind::Mallacc, Kind::GlibcLarge),
                        ::testing::Values(1u, 2u, 3u, 4u)));
 
 std::string
@@ -644,8 +681,84 @@ TEST_P(AllocatorMisuseTest, DoubleAndForeignFreesThrowWithoutEffect)
 
 INSTANTIATE_TEST_SUITE_P(
     AllAllocators, AllocatorMisuseTest,
-    ::testing::Values(Kind::Py, Kind::Je, Kind::Go, Kind::Tc,
-                      Kind::Memento, Kind::Mallacc),
+    ::testing::ValuesIn(kAllocatorKinds),
+    [](const ::testing::TestParamInfo<Kind> &info) {
+        return kindName(info.param);
+    });
+
+class AllocatorOversizeTest : public ::testing::TestWithParam<Kind>
+{
+};
+
+/** Prefix of the backend's own counters, its large model's included. */
+std::string
+statPrefix(Kind kind)
+{
+    static const char *const prefixes[] = {"pymalloc", "jemalloc",
+                                           "gomalloc", "tcmalloc",
+                                           "memento",  "tcmalloc"};
+    return prefixes[static_cast<int>(kind)];
+}
+
+/**
+ * A counter of some small-object path: a software model's own, or one
+ * of Memento's object-allocation hardware (HOT, object and page
+ * allocators, AAC, bypass).
+ */
+bool
+isSmallPathCounter(const std::string &name)
+{
+    if (name.find(".large_") != std::string::npos)
+        return false;
+    for (const char *prefix : {"pymalloc.", "jemalloc.", "gomalloc.",
+                               "tcmalloc.", "memento.", "hot.", "hwobj.",
+                               "hwpage.", "aac.", "bypass."}) {
+        if (name.rfind(prefix, 0) == 0)
+            return true;
+    }
+    return false;
+}
+
+TEST_P(AllocatorOversizeTest, ServedByTheBaseLargeModelOnly)
+{
+    const Kind kind = GetParam();
+    Backend backend(kind);
+    Allocator &alloc = backend.alloc();
+    Env &env = backend.env();
+    const std::string large = statPrefix(kind) + ".large_";
+
+    // Just above the small range (the large model's bins) and several
+    // MiB (its own-mapping path).
+    for (std::uint64_t size : {kMaxSmallSize + 1, std::uint64_t{3} << 20,
+                               std::uint64_t{16} << 20}) {
+        SCOPED_TRACE("size " + std::to_string(size));
+        std::map<std::string, std::uint64_t> before =
+            backend.stats().snapshot();
+        const Addr p = alloc.malloc(size, env);
+        EXPECT_TRUE(alloc.isLive(p));
+        EXPECT_EQ(alloc.liveBytes(), size);
+        alloc.free(p, env);
+        std::map<std::string, std::uint64_t> after =
+            backend.stats().snapshot();
+
+        EXPECT_EQ(after[large + "mallocs"], before[large + "mallocs"] + 1);
+        EXPECT_EQ(after[large + "frees"], before[large + "frees"] + 1);
+        EXPECT_EQ(after[large + "mmap_served"],
+                  before[large + "mmap_served"] +
+                      (size >= GlibcLargeAlloc::kMmapThreshold ? 1 : 0));
+        for (const auto &[name, value] : after) {
+            if (isSmallPathCounter(name)) {
+                EXPECT_EQ(value, before[name]) << name << " moved";
+            }
+        }
+    }
+    EXPECT_EQ(alloc.liveBytes(), 0u);
+    alloc.functionExit(env);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAllocators, AllocatorOversizeTest,
+    ::testing::ValuesIn(kAllocatorKinds),
     [](const ::testing::TestParamInfo<Kind> &info) {
         return kindName(info.param);
     });

@@ -518,5 +518,23 @@ TEST(FleetPipeline, UnknownArrivalKindThrowsBeforeProfiling)
     }
 }
 
+TEST(FleetPipeline, UnknownMixThrowsConfigErrorNamingValidValues)
+{
+    MachineConfig cfg = smallFleetConfig();
+    cfg.fleet.mix = "bogus";
+    FleetOptions opts;
+    opts.cfg = cfg;
+    try {
+        runFleet(opts);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Config);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("fleet.mix 'bogus'"), std::string::npos);
+        EXPECT_NE(what.find("function, all, "), std::string::npos);
+        EXPECT_NE(what.find("aes"), std::string::npos);
+    }
+}
+
 } // namespace
 } // namespace memento
