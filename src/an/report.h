@@ -1,8 +1,8 @@
 /**
  * @file
- * Text rendering helpers shared by the benchmark binaries: fixed-width
- * tables and ASCII bars so each bench prints rows directly comparable
- * to the paper's figures.
+ * Text rendering helpers shared by the CLI and the figure table
+ * (bench/figures.h): fixed-width tables and ASCII bars so each figure
+ * prints rows directly comparable to the paper's.
  */
 
 #ifndef MEMENTO_AN_REPORT_H

@@ -61,7 +61,7 @@ struct CliOptions
     /** bench: output JSON path. */
     std::string outFile = "BENCH_PR8.json";
     DiagPolicy diagPolicy; ///< --allow / --werror (analysis commands).
-    /** Variadic path arguments (lint-src [paths...]), in CLI order. */
+    /** Variadic arguments (lint-src paths, figures ids), in CLI order. */
     std::vector<std::string> paths;
 };
 
@@ -88,7 +88,8 @@ struct CommandSpec
     /** Required positional-argument count (before any flags). */
     std::size_t positionals = 0;
     /** Accept additional non-flag arguments into CliOptions::paths
-     * (lint-src [paths...]); otherwise a bare argument is an error. */
+     * (lint-src [paths...], figures [ids...]); otherwise a bare
+     * argument is an error. */
     bool variadicPaths = false;
 };
 

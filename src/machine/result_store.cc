@@ -270,19 +270,24 @@ ResultStore::ResultStore(ResultStoreOptions opts) : opts_(std::move(opts))
                  ec ? ": " + ec.message() : std::string());
 }
 
+std::string
+runCellIdentity(const WorkloadSpec &spec, const MachineConfig &cfg,
+                const RunOptions &opts)
+{
+    return traceIdentity(spec) + '\n' + canonicalConfigText(cfg) +
+           "\ncold=" + std::to_string(opts.coldStart) +
+           " rpc=" + std::to_string(opts.chargeRpc) +
+           " digest=" + std::to_string(opts.computeDigest);
+}
+
 CellKey
-ResultStore::runCellKey(const std::string &workload,
-                        const MachineConfig &cfg, const RunOptions &opts,
-                        std::string_view salt) const
+ResultStore::runCellKey(const WorkloadSpec &spec, const MachineConfig &cfg,
+                        const RunOptions &opts, std::string_view salt) const
 {
     DigestBuilder d;
     d.add(std::string_view("memento-run-cell"));
     d.add(std::string_view(opts_.codeVersion));
-    d.add(std::string_view(workload));
-    d.add(std::string_view(canonicalConfigText(cfg)));
-    d.add(static_cast<std::uint64_t>(opts.coldStart));
-    d.add(static_cast<std::uint64_t>(opts.chargeRpc));
-    d.add(static_cast<std::uint64_t>(opts.computeDigest));
+    d.add(std::string_view(runCellIdentity(spec, cfg, opts)));
     d.add(salt);
     return CellKey{d.value()};
 }

@@ -4,7 +4,7 @@
  * makes sweeps crash-safe, resumable, and shardable.
  *
  * Every sweep cell (one workload run under one configuration) is keyed
- * by an FNV-1a digest of (workload id, canonical configuration text,
+ * by an FNV-1a digest of (trace identity, canonical configuration text,
  * run options, code version) — see sim/config_canon.h — so a cache hit
  * is only possible when *nothing* that could change the result has
  * changed. Each cell is one file `<16-hex-key>.cell` in the store
@@ -92,6 +92,15 @@ struct MergeStats
     std::uint64_t corrupt = 0;    ///< Source records that failed validation.
 };
 
+/**
+ * Everything a run's result depends on, as text: @p spec's
+ * traceIdentity(), the canonical text of @p cfg and @p opts. Runs with
+ * equal identity produce equal results.
+ */
+std::string runCellIdentity(const WorkloadSpec &spec,
+                            const MachineConfig &cfg,
+                            const RunOptions &opts);
+
 class ResultStore
 {
   public:
@@ -108,9 +117,12 @@ class ResultStore
 
     // ---- Key derivation ----
 
-    /** Key of one run cell. @p salt disambiguates deliberate re-runs. */
-    CellKey runCellKey(const std::string &workload,
-                       const MachineConfig &cfg, const RunOptions &opts,
+    /**
+     * Key of one run cell: the digest of runCellIdentity() and the code
+     * version. @p salt disambiguates deliberate re-runs.
+     */
+    CellKey runCellKey(const WorkloadSpec &spec, const MachineConfig &cfg,
+                       const RunOptions &opts,
                        std::string_view salt = {}) const;
 
     /** Key from arbitrary tagged parts (bench cells and the like). */

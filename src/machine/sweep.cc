@@ -198,7 +198,7 @@ SweepEngine::run(const std::vector<SweepTask> &tasks)
         // across different effective watchdog budgets.
         CellKey key;
         if (opts_.store != nullptr && task.trace == nullptr) {
-            key = opts_.store->runCellKey(task.spec.id, cfg, task.opts,
+            key = opts_.store->runCellKey(task.spec, cfg, task.opts,
                                           task.cacheSalt);
             RunResult cached;
             unsigned cached_attempts = 1;

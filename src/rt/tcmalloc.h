@@ -13,7 +13,9 @@
  * and its central lists transfer in fixed batch sizes.
  *
  * Offered as an alternative C++ baseline: construct it instead of
- * JeMalloc, or compare both (bench/abl_design, tests).
+ * JeMalloc. The §6.7 idealized Mallacc (hw/mallacc.h, `figures
+ * comp_mallacc`) is this model with the cached operations at zero
+ * cost; the allocator tests drive it directly.
  */
 
 #ifndef MEMENTO_RT_TCMALLOC_H

@@ -3,7 +3,7 @@
  * Canonical serialization of a MachineConfig, for content addressing.
  *
  * The result store keys every sweep cell by an FNV-1a digest of
- * (workload id, canonical config text, run options, code version), so
+ * (trace identity, canonical config text, run options, code version), so
  * the canonical text must satisfy two properties:
  *
  *  - *Complete over results*: every configuration field that can

@@ -160,8 +160,7 @@ TraceGenerator::generate() const
 std::shared_ptr<const Trace>
 TraceCache::get(const WorkloadSpec &spec)
 {
-    const std::string key = spec.id + '#' + std::to_string(spec.seed) +
-                            '#' + std::to_string(spec.numAllocs);
+    const std::string key = traceIdentity(spec);
     std::shared_ptr<Entry> entry;
     {
         std::lock_guard<std::mutex> lock(mu_);

@@ -59,7 +59,7 @@ class TraceCache
   public:
     /**
      * The trace for @p spec, synthesizing on first touch. Entries are
-     * keyed by (id, seed, numAllocs); one cache must not be fed two
+     * keyed by traceIdentity(); one cache must not be fed two
      * different specs that collide on that key.
      */
     std::shared_ptr<const Trace> get(const WorkloadSpec &spec);

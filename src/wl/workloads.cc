@@ -410,6 +410,13 @@ workloadsByDomain(Domain domain)
 }
 
 std::string
+traceIdentity(const WorkloadSpec &spec)
+{
+    return spec.id + '#' + std::to_string(spec.seed) + '#' +
+           std::to_string(spec.numAllocs);
+}
+
+std::string
 languageName(Language lang)
 {
     switch (lang) {

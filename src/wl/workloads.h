@@ -92,6 +92,13 @@ const WorkloadSpec &workloadById(const std::string &id);
 /** All workloads of @p domain, in order. */
 std::vector<WorkloadSpec> workloadsByDomain(Domain domain);
 
+/**
+ * What a synthesized trace depends on: the spec's id, seed and
+ * numAllocs. Two specs with equal identity must yield the same trace;
+ * the trace cache and the result store key on it.
+ */
+std::string traceIdentity(const WorkloadSpec &spec);
+
 /** Display names. */
 std::string languageName(Language lang);
 std::string domainName(Domain domain);

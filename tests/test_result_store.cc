@@ -106,7 +106,8 @@ TEST(ResultStore, RunCellRoundTripsExactly)
     ResultStore store = openStore(dir);
 
     const RunResult want = richResult();
-    const CellKey key = store.runCellKey("aes", test::smallConfig(),
+    const CellKey key = store.runCellKey(workloadById("aes"),
+                                         test::smallConfig(),
                                          RunOptions{});
     store.storeRun(key, want, 3);
 
@@ -132,7 +133,8 @@ TEST(ResultStore, CachedFailureIsFirstClass)
     RunResult want = richResult();
     want.error = RunError{ErrorCategory::Trace,
                           "corrupt record at op 120", 120};
-    const CellKey key = store.runCellKey("bfs", test::smallConfig(),
+    const CellKey key = store.runCellKey(workloadById("bfs"),
+                                         test::smallConfig(),
                                          RunOptions{});
     store.storeRun(key, want, 4);
 
@@ -163,38 +165,45 @@ TEST(ResultStore, KeysSeparateEverythingThatChangesResults)
     TempStoreDir dir("keys");
     ResultStore store = openStore(dir);
 
+    const WorkloadSpec &aes = workloadById("aes");
     const MachineConfig cfg = test::smallConfig();
     const RunOptions ro;
-    const CellKey base = store.runCellKey("aes", cfg, ro);
+    const CellKey base = store.runCellKey(aes, cfg, ro);
 
-    // Workload.
-    EXPECT_FALSE(base == store.runCellKey("bfs", cfg, ro));
+    // Workload, and every part of its trace identity.
+    EXPECT_FALSE(base == store.runCellKey(workloadById("bfs"), cfg, ro));
+    WorkloadSpec reseeded = aes;
+    reseeded.seed += 1;
+    EXPECT_FALSE(base == store.runCellKey(reseeded, cfg, ro));
+    WorkloadSpec longer = aes;
+    longer.numAllocs += 1;
+    EXPECT_FALSE(base == store.runCellKey(longer, cfg, ro));
 
     // Any result-affecting config field.
     MachineConfig bigger_l1 = cfg;
     bigger_l1.l1d.sizeBytes *= 2;
-    EXPECT_FALSE(base == store.runCellKey("aes", bigger_l1, ro));
+    EXPECT_FALSE(base == store.runCellKey(aes, bigger_l1, ro));
     MachineConfig memento_on = cfg;
     memento_on.memento.enabled = true;
-    EXPECT_FALSE(base == store.runCellKey("aes", memento_on, ro));
+    EXPECT_FALSE(base == store.runCellKey(aes, memento_on, ro));
     MachineConfig faulted = cfg;
     faulted.inject.traceCorruptAt = 7;
-    EXPECT_FALSE(base == store.runCellKey("aes", faulted, ro));
+    EXPECT_FALSE(base == store.runCellKey(aes, faulted, ro));
 
     // Run options.
     RunOptions cold = ro;
     cold.coldStart = true;
-    EXPECT_FALSE(base == store.runCellKey("aes", cfg, cold));
+    EXPECT_FALSE(base == store.runCellKey(aes, cfg, cold));
     RunOptions digest = ro;
     digest.computeDigest = true;
-    EXPECT_FALSE(base == store.runCellKey("aes", cfg, digest));
+    EXPECT_FALSE(base == store.runCellKey(aes, cfg, digest));
 
     // Salt (the --digest second run).
-    EXPECT_FALSE(base == store.runCellKey("aes", cfg, ro, "digest-rerun"));
+    EXPECT_FALSE(base == store.runCellKey(aes, cfg, ro, "digest-rerun"));
 
     // Code version.
     ResultStore other({.dir = dir.path(), .codeVersion = "other-sha"});
-    EXPECT_FALSE(base == other.runCellKey("aes", cfg, ro));
+    EXPECT_FALSE(base == other.runCellKey(aes, cfg, ro));
 }
 
 TEST(ResultStore, SweepPolicyAndStoreFaultsDoNotChangeKeys)
@@ -202,8 +211,9 @@ TEST(ResultStore, SweepPolicyAndStoreFaultsDoNotChangeKeys)
     TempStoreDir dir("policy");
     ResultStore store = openStore(dir);
 
+    const WorkloadSpec &aes = workloadById("aes");
     const MachineConfig cfg = test::smallConfig();
-    const CellKey base = store.runCellKey("aes", cfg, RunOptions{});
+    const CellKey base = store.runCellKey(aes, cfg, RunOptions{});
 
     // The whole point of the store: a resumed, re-sharded, retried, or
     // crash-injected sweep must hit the cells its predecessor wrote.
@@ -216,7 +226,7 @@ TEST(ResultStore, SweepPolicyAndStoreFaultsDoNotChangeKeys)
     policy.inject.storeTornWriteAt = 3;
     policy.inject.storeKillAt = 5;
     EXPECT_EQ(canonicalConfigText(cfg), canonicalConfigText(policy));
-    EXPECT_TRUE(base == store.runCellKey("aes", policy, RunOptions{}));
+    EXPECT_TRUE(base == store.runCellKey(aes, policy, RunOptions{}));
 }
 
 TEST(ResultStore, DerivedKeysSeparateParts)
@@ -238,7 +248,8 @@ TEST(ResultStore, DerivedKeysSeparateParts)
 std::string
 storeOneCell(ResultStore &store, CellKey &key)
 {
-    key = store.runCellKey("aes", test::smallConfig(), RunOptions{});
+    key = store.runCellKey(workloadById("aes"), test::smallConfig(),
+                           RunOptions{});
     store.storeRun(key, richResult(), 1);
     return store.dir() + "/" + key.hex() + ".cell";
 }
@@ -325,7 +336,8 @@ TEST(ResultStore, UnparseableRunPayloadIsQuarantined)
 
     // A structurally valid cell (header + checksum OK) whose payload
     // is not a RunResult: loadCell succeeds, loadRun must quarantine.
-    const CellKey key = store.runCellKey("aes", test::smallConfig(),
+    const CellKey key = store.runCellKey(workloadById("aes"),
+                                         test::smallConfig(),
                                          RunOptions{});
     store.storeCell(key, "run", "{\"workload\": \"aes\"}");
 

@@ -244,6 +244,31 @@ TEST(ResumeSweep, CacheHitsAreIdenticalAtAnyJobCount)
     }
 }
 
+TEST(ResumeSweep, SeedsOfOneWorkloadKeepSeparateCells)
+{
+    TempStoreDir dir("seeds");
+    const WorkloadSpec first = downscale(workloadById("aes"));
+    WorkloadSpec second = first;
+    second.seed += 1;
+    const std::vector<SweepTask> tasks = {
+        {first, test::smallConfig(), RunOptions{}, nullptr, {}},
+        {second, test::smallConfig(), RunOptions{}, nullptr, {}}};
+    const std::vector<SweepOutcome> want = reference(tasks);
+    ASSERT_FALSE(want[0].result == want[1].result);
+
+    // One store, both seeds: each must get its own cell, both while the
+    // store fills and when it serves them back.
+    ResultStore store({.dir = dir.path(), .codeVersion = "test-sha"});
+    SweepOptions so;
+    so.jobs = 1;
+    so.keepGoing = true;
+    so.store = &store;
+    expectSameResults(sweepWith(tasks, so), want, "filling sweep");
+    expectSameResults(sweepWith(tasks, so), want, "cached sweep");
+    EXPECT_EQ(store.stats().misses, 2u);
+    EXPECT_EQ(store.stats().hits, 2u);
+}
+
 /** A task list whose middle task fails on every attempt. */
 std::vector<SweepTask>
 taskListWithDeterministicFailure()
@@ -367,7 +392,7 @@ TEST(ResumeSweep, RevalidateDetectsDoctoredRecordAndHealsTheStore)
     // Doctor the cached cell: same key, subtly different result. The
     // record itself stays checksum-valid — only recomputation can
     // catch this.
-    const CellKey key = store.runCellKey(tasks[0].spec.id, tasks[0].cfg,
+    const CellKey key = store.runCellKey(tasks[0].spec, tasks[0].cfg,
                                          tasks[0].opts);
     RunResult doctored;
     unsigned attempts = 1;

@@ -63,6 +63,13 @@
  *       integer cycle counts, so output is byte-identical at any
  *       --jobs level and across --cache resumes.
  *
+ *   memento_sim figures [<id>...|all] [options]
+ *       Regenerate the paper's figures and tables (src/bench/figures.h);
+ *       ids are fig02_alloc_size … abl_design, and an unknown id lists
+ *       them all. Every run cell of the selected figures goes through
+ *       one sweep, so a cell several figures share runs once; --jobs,
+ *       --cache and --no-cache apply as for compare.
+ *
  *   memento_sim merge <out-dir> <in-dir>...
  *       Merge partial result stores (e.g. from --shard runs on other
  *       machines) into one, validating every record; corrupt source
@@ -72,8 +79,8 @@
  *   memento_sim help [command]
  *       Render the global usage page or one command's options.
  *
- * Crash-safe sweeps: `run all`, `compare all`, and `bench` accept
- * --cache DIR, which persists every completed cell to a
+ * Crash-safe sweeps: `run all`, `compare all`, `figures`, and `bench`
+ * accept --cache DIR, which persists every completed cell to a
  * content-addressed result store (machine/result_store.h). A killed or
  * interrupted sweep resumes from the cache with byte-identical stdout;
  * --shard I/N partitions a sweep across machines for later `merge`;
@@ -87,18 +94,22 @@
  *
  * The check and lint-config --json findings and the bench document all
  * share the versioned JSON envelope of sim/json.h
- * (`"schema_version"`, `"kind"`).
+ * (`"schema_version"`, `"kind"`). A command given --json that fails
+ * with a SimError also prints an envelope of kind "error" (category,
+ * message) on stdout.
  *
  * A failing run (out of memory, bad trace, corruption detected by the
  * invariant checker, watchdog timeout) raises SimError; without
  * --keep-going the first failure stops the sweep. Simulator bugs still
  * panic and user errors on the command line are still fatal.
  *
- * Sweeps (run all / compare all / bench) fan individual runs out over
- * the machine/sweep.h work-stealing pool and merge results back in
- * workload order, so parallelism never changes what gets printed.
+ * Sweeps (run all / compare all / figures / bench) fan individual runs
+ * out over the machine/sweep.h work-stealing pool and merge results
+ * back in workload order, so parallelism never changes what gets
+ * printed.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <fstream>
@@ -111,6 +122,7 @@
 #include "an/lifetime.h"
 #include "an/report.h"
 #include "bench/bench_harness.h"
+#include "bench/figures.h"
 #include "cli/options.h"
 #include "fleet/fleet.h"
 #include "machine/breakdown.h"
@@ -244,11 +256,12 @@ applyShard(std::vector<WorkloadSpec> &specs, const SweepPolicyConfig &sw,
     specs = std::move(mine);
 }
 
-/** Shared SweepOptions wiring for the cache/retry/revalidate layer. */
-void
-applySweepPolicy(SweepOptions &sweep_opts, const CliOptions &opts,
-                 ResultStore *store)
+/** SweepOptions from --jobs and the cache/retry/revalidate layer. */
+SweepOptions
+sweepOptions(const CliOptions &opts, ResultStore *store)
 {
+    SweepOptions sweep_opts;
+    sweep_opts.jobs = opts.jobs;
     sweep_opts.keepGoing = opts.keepGoing || opts.cfg.sweep.keepGoing;
     sweep_opts.retries = opts.cfg.sweep.retries;
     sweep_opts.store = store;
@@ -259,6 +272,7 @@ applySweepPolicy(SweepOptions &sweep_opts, const CliOptions &opts,
         // a full recompute.
         sweep_opts.revalidateEvery = opts.revalidate ? 4 : 0;
     }
+    return sweep_opts;
 }
 
 Trace
@@ -382,9 +396,7 @@ cmdRun(const std::string &id, const CliOptions &opts)
         }
     }
 
-    SweepOptions sweep_opts;
-    sweep_opts.jobs = opts.jobs;
-    applySweepPolicy(sweep_opts, opts, store.get());
+    SweepOptions sweep_opts = sweepOptions(opts, store.get());
     const bool keep_going = sweep_opts.keepGoing;
     SweepEngine engine(sweep_opts);
     const std::vector<SweepOutcome> outcomes = engine.run(tasks);
@@ -469,9 +481,7 @@ cmdCompare(const std::string &id, const CliOptions &opts)
     // Each workload's (baseline, memento, no-bypass) triple fans out
     // as three tasks sharing one cached trace; the progress line fires
     // as a workload's first task starts (serialized by the engine).
-    SweepOptions sweep_opts;
-    sweep_opts.jobs = opts.jobs;
-    applySweepPolicy(sweep_opts, opts, store.get());
+    SweepOptions sweep_opts = sweepOptions(opts, store.get());
     const bool keep_going = sweep_opts.keepGoing;
     sweep_opts.onTaskStart = [](const SweepTask &task, std::size_t idx) {
         if (idx % 3 == 0)
@@ -714,6 +724,26 @@ cmdFleet(const CliOptions &opts)
 }
 
 int
+cmdFigures(const CliOptions &opts)
+{
+    const std::vector<const FigureSpec *> figs = selectFigures(opts.paths);
+    const std::unique_ptr<ResultStore> store = makeStore(opts);
+
+    SweepOptions sweep_opts = sweepOptions(opts, store.get());
+    sweep_opts.onTaskStart = [](const SweepTask &task, std::size_t) {
+        std::cerr << "  running " << task.spec.id << "...\n";
+    };
+    SweepEngine engine(sweep_opts);
+    const bool done = renderFigures(figs, engine, std::cout);
+
+    if (store != nullptr)
+        reportStoreStats(*store);
+    if (!done)
+        return reportInterrupted(store.get());
+    return 0;
+}
+
+int
 cmdMerge(const std::vector<std::string> &args)
 {
     // args: merge <out-dir> <in-dir>... — variadic positionals, no
@@ -832,10 +862,22 @@ main(int argc, char **argv)
             return cmdBench(opts);
         if (cmd == "fleet")
             return cmdFleet(opts);
+        if (cmd == "figures")
+            return cmdFigures(opts);
     } catch (const SimError &e) {
         std::cerr << "memento_sim: error ("
                   << errorCategoryName(e.category()) << "): " << e.what()
                   << "\n";
+        // The raw arguments, not opts: parsing them may be what failed.
+        if (std::find(args.begin(), args.end(), "--json") != args.end()) {
+            JsonWriter w(std::cout);
+            w.beginObject();
+            writeSchemaHeader(w, "error");
+            w.member("category", errorCategoryName(e.category()));
+            w.member("message", std::string_view(e.what()));
+            w.endObject();
+            std::cout << "\n";
+        }
         return 1;
     }
     printUsage(std::cerr);
