@@ -1,18 +1,16 @@
 #include "bench/bench_harness.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "machine/function_executor.h"
 #include "machine/machine.h"
-#include "machine/result_store.h"
 #include "machine/sweep.h"
 #include "sim/config_canon.h"
 #include "sim/json.h"
+#include "sim/stats.h"
 #include "val/digest.h"
 #include "wl/trace_generator.h"
 #include "wl/workloads.h"
@@ -30,17 +28,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/** q-th percentile (nearest-rank on the sorted samples). */
-double
-percentile(std::vector<double> samples, double q)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const auto idx = static_cast<std::size_t>(q * (samples.size() - 1));
-    return samples[idx];
 }
 
 WorkloadBench
@@ -91,135 +78,10 @@ benchWorkload(const WorkloadSpec &spec, const Trace &trace,
         perOpNs.push_back(elapsed * 1e9 /
                           static_cast<double>(to - from));
     }
-    wb.p50OpNs = percentile(perOpNs, 0.50);
-    wb.p99OpNs = percentile(perOpNs, 0.99);
+    std::size_t from = 0;
+    wb.p50OpNs = selectNearestRank(perOpNs, from, 50, 100);
+    wb.p99OpNs = selectNearestRank(perOpNs, from, 99, 100);
     return wb;
-}
-
-// ---- Bench result-store cells ----------------------------------------
-//
-// Wall-clock measurements travel as exact IEEE bit patterns: a cached
-// cell must reproduce the original measurement bit-for-bit, so that a
-// full-cache-hit `bench` re-run emits a byte-identical report.
-
-std::uint64_t
-bits(double v)
-{
-    return std::bit_cast<std::uint64_t>(v);
-}
-
-double
-fromBits(std::uint64_t b)
-{
-    return std::bit_cast<double>(b);
-}
-
-bool
-cellU64(const JsonValue &obj, std::string_view name, std::uint64_t &out)
-{
-    const JsonValue *v = obj.find(name);
-    if (v == nullptr || !v->isNumber() || !v->isInteger)
-        return false;
-    out = v->u64;
-    return true;
-}
-
-CellKey
-workloadCellKey(const ResultStore &store, const std::string &id,
-                const std::string &canon_cfg, unsigned repeats)
-{
-    return store.derivedKey(
-        {"bench-workload", id, canon_cfg, std::to_string(repeats)});
-}
-
-bool
-loadWorkloadCell(ResultStore &store, const CellKey &key,
-                 const std::string &id, WorkloadBench &wb)
-{
-    std::string payload;
-    if (!store.loadCell(key, "bench", payload))
-        return false;
-    JsonValue doc;
-    std::string err;
-    std::uint64_t ops = 0, p50 = 0, p99 = 0, wall = 0;
-    if (!parseJson(payload, doc, err) || !doc.isObject())
-        return false;
-    const JsonValue *idv = doc.find("id");
-    if (idv == nullptr || !idv->isString() || idv->str != id)
-        return false;
-    if (!cellU64(doc, "trace_ops", wb.traceOps) ||
-        !cellU64(doc, "cycles", wb.cycles) ||
-        !cellU64(doc, "digest", wb.digest) ||
-        !cellU64(doc, "ops_per_sec_bits", ops) ||
-        !cellU64(doc, "p50_bits", p50) || !cellU64(doc, "p99_bits", p99) ||
-        !cellU64(doc, "serial_wall_bits", wall))
-        return false;
-    wb.id = id;
-    wb.opsPerSec = fromBits(ops);
-    wb.p50OpNs = fromBits(p50);
-    wb.p99OpNs = fromBits(p99);
-    wb.serialWallSec = fromBits(wall);
-    return true;
-}
-
-void
-storeWorkloadCell(ResultStore &store, const CellKey &key,
-                  const WorkloadBench &wb)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    w.member("id", std::string_view(wb.id));
-    w.member("trace_ops", wb.traceOps);
-    w.member("cycles", wb.cycles);
-    w.member("digest", wb.digest);
-    w.member("ops_per_sec_bits", bits(wb.opsPerSec));
-    w.member("p50_bits", bits(wb.p50OpNs));
-    w.member("p99_bits", bits(wb.p99OpNs));
-    w.member("serial_wall_bits", bits(wb.serialWallSec));
-    w.endObject();
-    store.storeCell(key, "bench", os.str());
-}
-
-CellKey
-totalsCellKey(const ResultStore &store, const std::string &canon_cfg,
-              const BenchOptions &opts)
-{
-    return store.derivedKey({"bench-totals", canon_cfg,
-                             std::to_string(opts.repeats),
-                             opts.smoke ? "smoke" : "full",
-                             std::to_string(opts.jobs)});
-}
-
-bool
-loadTotalsCell(ResultStore &store, const CellKey &key, BenchReport &report)
-{
-    std::string payload;
-    if (!store.loadCell(key, "bench-totals", payload))
-        return false;
-    JsonValue doc;
-    std::string err;
-    std::uint64_t wall = 0, jobs_n = 0;
-    if (!parseJson(payload, doc, err) || !doc.isObject() ||
-        !cellU64(doc, "jobs_n_wall_bits", wall) ||
-        !cellU64(doc, "jobs_n", jobs_n) || jobs_n == 0)
-        return false;
-    report.jobsNWallSec = fromBits(wall);
-    report.jobsN = static_cast<unsigned>(jobs_n);
-    return true;
-}
-
-void
-storeTotalsCell(ResultStore &store, const CellKey &key,
-                const BenchReport &report)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    w.member("jobs_n_wall_bits", bits(report.jobsNWallSec));
-    w.member("jobs_n", static_cast<std::uint64_t>(report.jobsN));
-    w.endObject();
-    store.storeCell(key, "bench-totals", os.str());
 }
 
 } // namespace
@@ -230,50 +92,25 @@ runBench(const BenchOptions &opts)
     std::vector<WorkloadSpec> specs = allWorkloads();
     if (opts.smoke)
         specs.resize(std::min<std::size_t>(specs.size(), 3));
-    if (opts.shardCount > 1) {
-        std::vector<WorkloadSpec> mine;
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            if (i % opts.shardCount == opts.shardIndex)
-                mine.push_back(specs[i]);
-        }
-        specs = std::move(mine);
-    }
 
     BenchReport report;
     report.repeats = opts.repeats;
     report.smoke = opts.smoke;
 
-    const std::string canon_cfg =
-        opts.store != nullptr ? canonicalConfigText(opts.cfg)
-                              : std::string();
-
     // Phase 1: per-workload measurements plus the serial sweep time
     // (the sum of per-workload serial seconds — one replay each).
-    // Cached cells reproduce their original measurement and skip even
-    // trace synthesis; traces are kept for the jobs-N phase and
-    // synthesized lazily there for workloads served from cache.
-    std::vector<std::shared_ptr<const Trace>> traces(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        WorkloadBench wb;
-        CellKey key;
-        bool cached = false;
-        if (opts.store != nullptr) {
-            key = workloadCellKey(*opts.store, specs[i].id, canon_cfg,
-                                  opts.repeats);
-            cached = loadWorkloadCell(*opts.store, key, specs[i].id, wb);
-        }
-        if (!cached) {
-            traces[i] = std::make_shared<const Trace>(
-                TraceGenerator(specs[i]).generate());
-            const auto start = Clock::now();
-            wb = benchWorkload(specs[i], *traces[i], opts);
-            // One replay per workload is the sweep-comparable serial
-            // time; the measurement ran repeats + 1 replays.
-            wb.serialWallSec = secondsSince(start) /
-                               static_cast<double>(opts.repeats + 1);
-            if (opts.store != nullptr)
-                storeWorkloadCell(*opts.store, key, wb);
-        }
+    // Traces are kept for the jobs-N phase.
+    std::vector<std::shared_ptr<const Trace>> traces;
+    traces.reserve(specs.size());
+    for (const WorkloadSpec &spec : specs) {
+        traces.push_back(std::make_shared<const Trace>(
+            TraceGenerator(spec).generate()));
+        const auto start = Clock::now();
+        WorkloadBench wb = benchWorkload(spec, *traces.back(), opts);
+        // One replay per workload is the sweep-comparable serial time;
+        // the measurement ran repeats + 1 replays.
+        wb.serialWallSec =
+            secondsSince(start) / static_cast<double>(opts.repeats + 1);
         report.totalOps += wb.traceOps;
         report.totalCycles += wb.cycles;
         report.jobs1WallSec += wb.serialWallSec;
@@ -285,39 +122,21 @@ runBench(const BenchOptions &opts)
 
     // Fleet scenario: a fixed arrival run through src/fleet, so the
     // BENCH_*.json trajectory tracks node-level throughput and latency
-    // percentiles PR over PR. Sharded runs skip it (like the totals
-    // phase): the scenario is a whole-node measurement.
-    if (opts.shardCount == 1) {
-        FleetOptions fopts;
-        fopts.cfg = opts.cfg;
-        fopts.cfg.fleet.invocations = opts.smoke ? 400 : 2000;
-        if (opts.smoke)
-            fopts.cfg.fleet.mix = "aes"; // One cheap profile run.
-        fopts.jobs = opts.jobs;
-        fopts.store = opts.store;
-        report.fleetCfg = fopts.cfg;
-        report.fleet = runFleet(fopts);
-        report.fleetRan = true;
-    }
+    // percentiles PR over PR.
+    FleetOptions fopts;
+    fopts.cfg = opts.cfg;
+    fopts.cfg.fleet.invocations = opts.smoke ? 400 : 2000;
+    if (opts.smoke)
+        fopts.cfg.fleet.mix = "aes"; // One cheap profile run.
+    fopts.jobs = opts.jobs;
+    report.fleetCfg = fopts.cfg;
+    report.fleet = runFleet(fopts);
 
-    // Phase 2: the same sweep through the work-stealing engine. A
-    // shard cannot measure the full sweep, so the totals cell is only
-    // produced (and consumed) by unsharded runs; a post-merge full run
-    // re-measures it once and caches it.
-    CellKey totals_key;
-    if (opts.store != nullptr && opts.shardCount == 1) {
-        totals_key = totalsCellKey(*opts.store, canon_cfg, opts);
-        if (loadTotalsCell(*opts.store, totals_key, report))
-            return report;
-    }
+    // Phase 2: the same sweep through the work-stealing engine.
     std::vector<SweepTask> tasks;
     tasks.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (traces[i] == nullptr)
-            traces[i] = std::make_shared<const Trace>(
-                TraceGenerator(specs[i]).generate());
+    for (std::size_t i = 0; i < specs.size(); ++i)
         tasks.push_back({specs[i], opts.cfg, RunOptions{}, traces[i], {}});
-    }
     SweepOptions sweep_opts;
     sweep_opts.jobs = opts.jobs;
     SweepEngine engine(sweep_opts);
@@ -325,8 +144,6 @@ runBench(const BenchOptions &opts)
     const auto par_start = Clock::now();
     engine.run(tasks);
     report.jobsNWallSec = secondsSince(par_start);
-    if (opts.store != nullptr && opts.shardCount == 1)
-        storeTotalsCell(*opts.store, totals_key, report);
     return report;
 }
 
@@ -364,27 +181,25 @@ writeBenchJson(std::ostream &os, const BenchReport &report)
     w.member("jobsN_wall_sec", report.jobsNWallSec);
     w.member("aggregate_ops_per_sec", report.aggregateOpsPerSec);
     w.endObject();
-    if (report.fleetRan) {
-        const FleetMetrics &m = report.fleet.metrics;
-        w.key("fleet").beginObject();
-        w.member("arrival", report.fleet.fleet.arrival);
-        w.member("invocations", report.fleet.fleet.invocations);
-        w.member("cores", report.fleet.fleet.cores);
-        w.member("mix", report.fleet.fleet.mix);
-        w.member("completed", m.completed);
-        w.member("cold_starts", m.coldStarts);
-        w.member("p50_cycles", m.p50Cycles);
-        w.member("p99_cycles", m.p99Cycles);
-        w.member("p999_cycles", m.p999Cycles);
-        w.member("p50_ms", m.latencyMs(report.fleetCfg, m.p50Cycles));
-        w.member("p99_ms", m.latencyMs(report.fleetCfg, m.p99Cycles));
-        w.member("p999_ms", m.latencyMs(report.fleetCfg, m.p999Cycles));
-        w.member("throughput_rps", m.throughputRps(report.fleetCfg));
-        w.member("cold_start_rate", m.coldStartRate());
-        w.member("packing_density", m.packingDensity());
-        w.member("digest", digestToHex(m.digest));
-        w.endObject();
-    }
+    const FleetMetrics &m = report.fleet.metrics;
+    w.key("fleet").beginObject();
+    w.member("arrival", report.fleet.fleet.arrival);
+    w.member("invocations", report.fleet.fleet.invocations);
+    w.member("cores", report.fleet.fleet.cores);
+    w.member("mix", report.fleet.fleet.mix);
+    w.member("completed", m.completed);
+    w.member("cold_starts", m.coldStarts);
+    w.member("p50_cycles", m.p50Cycles);
+    w.member("p99_cycles", m.p99Cycles);
+    w.member("p999_cycles", m.p999Cycles);
+    w.member("p50_ms", m.latencyMs(report.fleetCfg, m.p50Cycles));
+    w.member("p99_ms", m.latencyMs(report.fleetCfg, m.p99Cycles));
+    w.member("p999_ms", m.latencyMs(report.fleetCfg, m.p999Cycles));
+    w.member("throughput_rps", m.throughputRps(report.fleetCfg));
+    w.member("cold_start_rate", m.coldStartRate());
+    w.member("packing_density", m.packingDensity());
+    w.member("digest", digestToHex(m.digest));
+    w.endObject();
     w.endObject();
     w.complete();
 }
@@ -408,20 +223,18 @@ printBenchText(std::ostream &os, const BenchReport &report)
                   report.jobs1WallSec, report.jobsNWallSec, report.jobsN,
                   report.aggregateOpsPerSec);
     os << tail;
-    if (report.fleetRan) {
-        const FleetMetrics &m = report.fleet.metrics;
-        char fleet_line[200];
-        std::snprintf(fleet_line, sizeof fleet_line,
-                      "fleet: %llu invocations, %.1f rps, p50 %.3f ms, "
-                      "p99 %.3f ms, cold %.2f%%, digest %s\n",
-                      static_cast<unsigned long long>(m.completed),
-                      m.throughputRps(report.fleetCfg),
-                      m.latencyMs(report.fleetCfg, m.p50Cycles),
-                      m.latencyMs(report.fleetCfg, m.p99Cycles),
-                      m.coldStartRate() * 100.0,
-                      digestToHex(m.digest).c_str());
-        os << fleet_line;
-    }
+    const FleetMetrics &m = report.fleet.metrics;
+    char fleet_line[200];
+    std::snprintf(fleet_line, sizeof fleet_line,
+                  "fleet: %llu invocations, %.1f rps, p50 %.3f ms, "
+                  "p99 %.3f ms, cold %.2f%%, digest %s\n",
+                  static_cast<unsigned long long>(m.completed),
+                  m.throughputRps(report.fleetCfg),
+                  m.latencyMs(report.fleetCfg, m.p50Cycles),
+                  m.latencyMs(report.fleetCfg, m.p99Cycles),
+                  m.coldStartRate() * 100.0,
+                  digestToHex(m.digest).c_str());
+    os << fleet_line;
 }
 
 } // namespace memento

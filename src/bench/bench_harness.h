@@ -16,12 +16,13 @@
  *  - `repeats` timed replays on fresh machines, each timing only the
  *    FunctionExecutor::run window; ops/s is the median;
  *  - one chunked replay (runRange in ~4 Ki-op chunks) collects per-op
- *    wall-latency samples for the p50/p99 estimate;
+ *    wall-latency samples for the nearest-rank p50/p99;
  *  - cycles and digest come from the first timed replay.
  *
  * The jobs-N phase re-runs the whole sweep through SweepEngine to
  * measure parallel throughput with the same work distribution the
- * `run all` command uses.
+ * `run all` command uses. Every invocation measures afresh: bench
+ * opens no result store, so its timings are never replayed from one.
  */
 
 #ifndef MEMENTO_BENCH_BENCH_HARNESS_H
@@ -37,8 +38,6 @@
 
 namespace memento {
 
-class ResultStore;
-
 /** What to benchmark. */
 struct BenchOptions
 {
@@ -49,16 +48,6 @@ struct BenchOptions
     unsigned repeats = 3;
     /** Workers for the jobs-N phase; 0 = hardware concurrency. */
     unsigned jobs = 0;
-    /**
-     * Result store for cached/resumable benching (--cache). Perf
-     * numbers are wall-clock, so cached cells reproduce the *original*
-     * measurement bit-for-bit — a full-hit re-run emits a
-     * byte-identical report. Null disables caching. Not owned.
-     */
-    ResultStore *store = nullptr;
-    /** Shard selection: bench workloads with index % count == index. */
-    unsigned shardIndex = 0;
-    unsigned shardCount = 1;
 };
 
 /** Per-workload measurements. */
@@ -103,10 +92,8 @@ struct BenchReport
      * Poisson arrival run (400 invocations in smoke mode, 2000 in
      * full) whose throughput and latency percentiles land in the
      * BENCH_*.json trajectory. Entirely integer-derived, so it is
-     * byte-identical across --jobs levels and cache resumes. Skipped
-     * (fleetRan == false) by sharded runs, like the totals phase.
+     * byte-identical across --jobs levels.
      */
-    bool fleetRan = false;
     FleetReport fleet;
     /** Config the fleet scenario ran under (for cycle->ms rendering). */
     MachineConfig fleetCfg;

@@ -203,7 +203,7 @@ allCommands()
         {"bench", "",
          "self-benchmark the simulator over the workload sweep",
          {"--config", "--set", "--memento", "--jobs", "--json", "--out",
-          "--repeat", "--smoke", "--cache", "--no-cache", "--shard"},
+          "--repeat", "--smoke"},
          0},
         {"fleet", "",
          "simulate a serverless node: arrivals, keep-alive, percentiles",

@@ -28,13 +28,13 @@ checksumOf(std::string_view payload)
 }
 
 std::string
-headerLine(std::string_view cell_kind, std::string_view key_hex,
-           std::size_t payload_bytes, std::uint64_t checksum)
+headerLine(std::string_view key_hex, std::size_t payload_bytes,
+           std::uint64_t checksum)
 {
     std::ostringstream os;
     os << "{\"schema_version\": " << kJsonSchemaVersion
-       << ", \"kind\": \"result-cell\", \"cell_kind\": \""
-       << jsonEscape(cell_kind) << "\", \"key\": \"" << key_hex
+       << ", \"kind\": \"result-cell\", \"cell_kind\": \"run\", "
+       << "\"key\": \"" << key_hex
        << "\", \"payload_bytes\": " << payload_bytes
        << ", \"checksum\": \"" << digestToHex(checksum) << "\"}";
     return os.str();
@@ -292,17 +292,6 @@ ResultStore::runCellKey(const WorkloadSpec &spec, const MachineConfig &cfg,
     return CellKey{d.value()};
 }
 
-CellKey
-ResultStore::derivedKey(std::initializer_list<std::string_view> parts) const
-{
-    DigestBuilder d;
-    d.add(std::string_view("memento-derived-cell"));
-    d.add(std::string_view(opts_.codeVersion));
-    for (const std::string_view part : parts)
-        d.add(part);
-    return CellKey{d.value()};
-}
-
 std::string
 ResultStore::cellPath(const CellKey &key) const
 {
@@ -310,42 +299,40 @@ ResultStore::cellPath(const CellKey &key) const
 }
 
 bool
-ResultStore::loadCell(const CellKey &key, std::string_view cell_kind,
-                      std::string &payload)
+ResultStore::loadRun(const CellKey &key, RunResult &out, unsigned &attempts)
 {
     std::string record;
-    if (!readFile(cellPath(key), record)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.misses;
-        return false;
-    }
-
+    const bool present = readFile(cellPath(key), record);
     std::string stored_kind;
     std::string_view body;
-    if (!validateRecord(record, key.hex(), stored_kind, body) ||
-        stored_kind != cell_kind) {
-        quarantine(key);
+    RunResult parsed;
+    unsigned parsed_attempts = 1;
+    if (!present || !validateRecord(record, key.hex(), stored_kind, body) ||
+        stored_kind != "run" ||
+        !parseRunPayload(body, parsed, parsed_attempts)) {
+        if (present)
+            quarantine(key);
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.misses;
         return false;
     }
 
-    payload.assign(body);
+    out = std::move(parsed);
+    attempts = parsed_attempts;
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.hits;
     return true;
 }
 
 void
-ResultStore::storeCell(const CellKey &key, std::string_view cell_kind,
-                       std::string_view payload)
+ResultStore::storeRun(const CellKey &key, const RunResult &result,
+                      unsigned attempts)
 {
-    const std::string hex = key.hex();
+    const std::string payload = runPayload(result, attempts);
     std::string record =
-        headerLine(cell_kind, hex, payload.size(), checksumOf(payload));
+        headerLine(key.hex(), payload.size(), checksumOf(payload));
     record += '\n';
-    record.append(payload.data(), payload.size());
-
+    record += payload;
     std::lock_guard<std::mutex> lock(mu_);
     ++storeCounter_;
     if (opts_.tornWriteAt != 0 && storeCounter_ == opts_.tornWriteAt) {
@@ -373,34 +360,6 @@ ResultStore::storeCell(const CellKey &key, std::string_view cell_kind,
         // die without unwinding, as SIGKILL would.
         ::_exit(137); // lint-src: allow(src-fatal-in-library)
     }
-}
-
-bool
-ResultStore::loadRun(const CellKey &key, RunResult &out, unsigned &attempts)
-{
-    std::string payload;
-    if (!loadCell(key, "run", payload))
-        return false;
-
-    RunResult parsed;
-    unsigned parsed_attempts = 1;
-    if (!parseRunPayload(payload, parsed, parsed_attempts)) {
-        quarantine(key);
-        std::lock_guard<std::mutex> lock(mu_);
-        --stats_.hits;
-        ++stats_.misses;
-        return false;
-    }
-    out = std::move(parsed);
-    attempts = parsed_attempts;
-    return true;
-}
-
-void
-ResultStore::storeRun(const CellKey &key, const RunResult &result,
-                      unsigned attempts)
-{
-    storeCell(key, "run", runPayload(result, attempts));
 }
 
 bool

@@ -36,7 +36,6 @@
 #define MEMENTO_MACHINE_RESULT_STORE_H
 
 #include <cstdint>
-#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -68,7 +67,7 @@ struct ResultStoreOptions
      * codeVersionString(). Tests override it to pin keys.
      */
     std::string codeVersion;
-    /** Crash injection: tear the Nth storeCell() in half and _exit. */
+    /** Crash injection: tear the Nth storeRun() in half and _exit. */
     std::uint64_t tornWriteAt = 0;
     /** Crash injection: _exit right after the Nth completed store. */
     std::uint64_t killAt = 0;
@@ -125,35 +124,22 @@ class ResultStore
                        const RunOptions &opts,
                        std::string_view salt = {}) const;
 
-    /** Key from arbitrary tagged parts (bench cells and the like). */
-    CellKey derivedKey(std::initializer_list<std::string_view> parts) const;
-
-    // ---- Generic cell layer ----
-
-    /**
-     * Load the cell @p key. Returns true and fills @p payload on a
-     * validated hit. A missing file is a miss; a damaged file is
-     * quarantined and reported as a miss. @p cell_kind must match the
-     * stored record's kind (a mismatch is damage).
-     */
-    bool loadCell(const CellKey &key, std::string_view cell_kind,
-                  std::string &payload);
-
-    /** Atomically persist the cell @p key (last writer wins). */
-    void storeCell(const CellKey &key, std::string_view cell_kind,
-                   std::string_view payload);
-
     // ---- RunResult cells ----
 
     /**
-     * Load a run cell into @p out / @p attempts. A record whose payload
-     * no longer parses as a RunResult is quarantined like any other
-     * damage. The stored result may itself be a captured failure
-     * (out.failed()) — cached failures are first-class.
+     * Load a run cell into @p out / @p attempts. Returns true on a
+     * validated hit. A missing file is a miss; a damaged record (bad
+     * header or checksum, a cell_kind other than "run", or a payload
+     * that no longer parses as a RunResult) is quarantined and
+     * reported as a miss. The stored result may itself be a captured
+     * failure (out.failed()) — cached failures are first-class.
      */
     bool loadRun(const CellKey &key, RunResult &out, unsigned &attempts);
 
-    /** Persist one run outcome (success or captured failure). */
+    /**
+     * Atomically persist one run outcome (success or captured
+     * failure); last writer wins.
+     */
     void storeRun(const CellKey &key, const RunResult &result,
                   unsigned attempts);
 
@@ -189,7 +175,7 @@ class ResultStore
     ResultStoreOptions opts_ MEMENTO_READONLY_AFTER_INIT;
     mutable std::mutex mu_;
     StoreStats stats_ MEMENTO_GUARDED_BY(mu_);
-    /** storeCell() invocation counter driving the crash injections. */
+    /** storeRun() invocation counter driving the crash injections. */
     std::uint64_t storeCounter_ MEMENTO_GUARDED_BY(mu_) = 0;
 };
 

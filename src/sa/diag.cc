@@ -217,6 +217,24 @@ DiagReport::printText(std::ostream &os, const DiagPolicy &policy) const
 }
 
 void
+printRulesJson(std::ostream &os)
+{
+    JsonWriter w(os);
+    w.beginObject();
+    writeSchemaHeader(w, "rules");
+    w.key("rules").beginArray();
+    for (const DiagRule &r : allDiagRules()) {
+        w.beginObject();
+        w.member("id", r.id);
+        w.member("severity", severityName(r.severity));
+        w.member("summary", r.summary);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
+void
 DiagReport::printJson(std::ostream &os, const DiagPolicy &policy) const
 {
     JsonWriter w(os);

@@ -56,6 +56,12 @@ const std::vector<DiagRule> &allDiagRules();
 /** Registry lookup; nullptr when @p id is not a rule. */
 const DiagRule *findDiagRule(std::string_view id);
 
+/**
+ * The rule table as a versioned JSON document (kind "rules"): one
+ * {id, severity, summary} object per rule, in rule-table order.
+ */
+void printRulesJson(std::ostream &os);
+
 /** One finding. */
 struct Diag
 {

@@ -240,7 +240,7 @@ struct SweepPolicyConfig
  * shape a layer built *on top of* per-invocation runs: they are
  * excluded from canonical run-cell keys (a workload's invocation
  * profile does not depend on the fleet around it) and folded into the
- * fleet summary cell key instead (see src/fleet/fleet.h).
+ * fleet digest instead (see src/fleet/fleet.h).
  */
 struct FleetConfig
 {

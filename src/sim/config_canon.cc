@@ -156,8 +156,8 @@ canonicalConfigText(const MachineConfig &cfg)
     // re-sharded sweep miss every cell its predecessor cached. The
     // fleet.* keys are excluded for the same reason: a workload's
     // per-invocation profile cell is independent of the fleet built on
-    // top of it, and the fleet summary cell folds its own
-    // fleetCanonicalText() (src/fleet/fleet.h) into its key instead.
+    // top of it; the fleet digest folds fleetCanonicalText()
+    // (src/fleet/fleet.h) instead.
     w.field("inject.pool_exhaust_at", cfg.inject.poolExhaustAtPage);
     w.field("inject.mmap_fail_at", cfg.inject.mmapFailAt);
     w.field("inject.trace_truncate_at", cfg.inject.traceTruncateAt);

@@ -10,10 +10,13 @@
 #ifndef MEMENTO_SIM_STATS_H
 #define MEMENTO_SIM_STATS_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "sim/thread_annotations.h"
 
@@ -133,6 +136,32 @@ class MEMENTO_SINGLE_THREADED StatRegistry
     // and std::map guarantees reference stability across inserts.
     std::map<std::string, std::uint64_t> values_;
 };
+
+/**
+ * Nearest-rank percentile (num/den) of @p values, selected rather
+ * than sorted. Calls must come in ascending percentile order, with
+ * @p from the position the previous call selected (0 before the
+ * first): std::nth_element leaves [from, end) holding exactly the
+ * values of sorted positions from.., so each selection searches only
+ * that tail.
+ */
+template <typename T>
+T
+selectNearestRank(std::vector<T> &values, std::size_t &from,
+                  std::uint64_t num, std::uint64_t den)
+{
+    if (values.empty())
+        return T{};
+    const auto n = static_cast<std::uint64_t>(values.size());
+    std::uint64_t rank = (num * n + den - 1) / den; // ceil(num/den * n)
+    if (rank == 0)
+        rank = 1;
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(from),
+                     nth, values.end());
+    from = rank - 1;
+    return *nth;
+}
 
 } // namespace memento
 

@@ -6,14 +6,18 @@
  * seconds) are free to vary run to run, but everything simulated —
  * per-workload cycle counts and machine-state digests — must be
  * byte-identical at any --jobs level and across repeated invocations.
- * The JSON document must carry the versioned envelope.
+ * The JSON document must carry the versioned envelope, and the
+ * per-op percentiles are nearest-rank.
  */
 
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bench/bench_harness.h"
+#include "sim/json.h"
+#include "sim/stats.h"
 
 namespace memento {
 namespace {
@@ -45,6 +49,39 @@ TEST(BenchHarness, SmokeSweepMeasuresEveryWorkload)
     EXPECT_GT(report.totalCycles, 0u);
     EXPECT_GT(report.jobs1WallSec, 0.0);
     EXPECT_GT(report.jobsNWallSec, 0.0);
+
+    // The real report, read back as the BENCH_*.json schema.
+    std::ostringstream os;
+    writeBenchJson(os, report);
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(os.str(), doc, err)) << err;
+    ASSERT_NE(doc.find("schema_version"), nullptr);
+    EXPECT_EQ(doc.find("schema_version")->u64, 1u);
+    ASSERT_NE(doc.find("kind"), nullptr);
+    EXPECT_EQ(doc.find("kind")->str, "bench");
+    for (const char *key :
+         {"git_sha", "build_flags", "repeats", "workloads", "totals"})
+        EXPECT_NE(doc.find(key), nullptr) << "missing " << key;
+
+    const JsonValue *workloads = doc.find("workloads");
+    ASSERT_NE(workloads, nullptr);
+    ASSERT_EQ(workloads->items.size(), 3u);
+    for (const JsonValue &wb : workloads->items) {
+        for (const char *key : {"id", "trace_ops", "cycles", "digest",
+                                "ops_per_sec", "p50_op_ns", "p99_op_ns"})
+            ASSERT_NE(wb.find(key), nullptr) << "workload missing " << key;
+        EXPECT_GT(wb.find("trace_ops")->u64, 0u);
+        EXPECT_GT(wb.find("ops_per_sec")->number, 0.0);
+    }
+
+    const JsonValue *fleet = doc.find("fleet");
+    ASSERT_NE(fleet, nullptr);
+    for (const char *key :
+         {"arrival", "invocations", "cores", "completed", "cold_starts",
+          "p50_ms", "p99_ms", "throughput_rps", "digest"})
+        ASSERT_NE(fleet->find(key), nullptr) << "fleet missing " << key;
+    EXPECT_GT(fleet->find("completed")->u64, 0u);
 }
 
 TEST(BenchHarness, SimulatedResultsIdenticalAtAnyJobCount)
@@ -105,6 +142,16 @@ TEST(BenchHarness, JsonDocumentCarriesVersionedEnvelope)
     EXPECT_NE(doc.find("\"ops_per_sec\": 1500000"), std::string::npos);
     EXPECT_NE(doc.find("\"totals\": {"), std::string::npos);
     EXPECT_EQ(doc.back(), '}');
+}
+
+TEST(BenchHarness, NearestRankP99OfTenSamplesIsTheMaximum)
+{
+    // Nearest rank: ceil(0.99 * 10) = 10, the largest sample; an
+    // index of floor(0.99 * 9) = 8 would report the second largest.
+    std::vector<double> samples = {7, 3, 10, 1, 9, 2, 8, 4, 6, 5};
+    std::size_t from = 0;
+    EXPECT_EQ(selectNearestRank(samples, from, 50, 100), 5.0);
+    EXPECT_EQ(selectNearestRank(samples, from, 99, 100), 10.0);
 }
 
 } // namespace

@@ -190,11 +190,21 @@ TEST(CliOptionsDeath, EmptyCacheDirIsFatal)
 
 TEST(CliOptionsDeath, BenchRejectsRetry)
 {
-    // bench has no per-cell retry semantics; the declarative command
-    // table must reject the flag rather than silently ignoring it.
+    // bench has no per-cell retry semantics, and it always measures
+    // afresh (no result store, no shards); the declarative command
+    // table must reject these flags rather than silently ignoring them.
     EXPECT_EXIT(parseCommandOptions(command("bench"),
                                     {"bench", "--retry", "2"}, 1),
                 ::testing::ExitedWithCode(1), "does not accept --retry");
+    EXPECT_EXIT(parseCommandOptions(command("bench"),
+                                    {"bench", "--cache", "dir"}, 1),
+                ::testing::ExitedWithCode(1), "does not accept --cache");
+    EXPECT_EXIT(parseCommandOptions(command("bench"),
+                                    {"bench", "--no-cache"}, 1),
+                ::testing::ExitedWithCode(1), "does not accept --no-cache");
+    EXPECT_EXIT(parseCommandOptions(command("bench"),
+                                    {"bench", "--shard", "0/2"}, 1),
+                ::testing::ExitedWithCode(1), "does not accept --shard");
 }
 
 TEST(CliOptions, HelpRendererListsOnlyAcceptedFlags)

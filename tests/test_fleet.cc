@@ -24,6 +24,8 @@
 #include "machine/result_store.h"
 #include "os/kernel_cost.h"
 #include "sim/error.h"
+#include "sim/json.h"
+#include "val/digest.h"
 #include "wl/trace_generator.h"
 #include "wl/workloads.h"
 
@@ -440,10 +442,12 @@ TEST(FleetPipeline, ResumeFromStoreIsByteIdentical)
         opts.jobs = 2;
         opts.store = &store;
         const FleetReport report = runFleet(opts);
-        EXPECT_FALSE(report.fromCache);
+        EXPECT_EQ(store.stats().stores, report.profiles.size());
         fresh = render(report);
     }
     {
+        // The resume serves every profile from the store and still
+        // runs the event loop: same bytes, nothing recomputed.
         ResultStore store(
             {.dir = dir.path(), .codeVersion = "fleet-test"});
         FleetOptions opts;
@@ -451,13 +455,15 @@ TEST(FleetPipeline, ResumeFromStoreIsByteIdentical)
         opts.jobs = 1;
         opts.store = &store;
         const FleetReport report = runFleet(opts);
-        EXPECT_TRUE(report.fromCache);
         EXPECT_EQ(render(report), fresh);
-        EXPECT_GT(store.stats().hits, 0u);
+        const StoreStats stats = store.stats();
+        EXPECT_EQ(stats.hits, report.profiles.size());
+        EXPECT_EQ(stats.misses, 0u);
+        EXPECT_EQ(stats.stores, 0u);
     }
 }
 
-TEST(FleetPipeline, SummaryCellKeySeparatesFleetShapes)
+TEST(FleetPipeline, OtherSeedGivesOtherDigest)
 {
     TempStoreDir dir("fleet-keys");
     ResultStore store({.dir = dir.path(), .codeVersion = "fleet-test"});
@@ -469,11 +475,12 @@ TEST(FleetPipeline, SummaryCellKeySeparatesFleetShapes)
     opts.store = &store;
     const FleetReport a = runFleet(opts);
 
-    // A different arrival seed is a different fleet cell: the second
-    // run must NOT be served from the first run's summary.
+    // A different arrival seed reuses the profile cell (fleet.* is not
+    // part of a run cell's identity) but is a different fleet outcome.
     opts.cfg.fleet.seed = 99;
     const FleetReport b = runFleet(opts);
-    EXPECT_FALSE(b.fromCache);
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(store.stats().stores, 1u);
     EXPECT_NE(a.metrics.digest, b.metrics.digest);
 }
 
@@ -487,21 +494,41 @@ TEST(FleetPipeline, JsonCarriesVersionedEnvelopeAndDigest)
 
     std::ostringstream os;
     writeFleetJson(os, report, cfg);
-    const std::string doc = os.str();
-    EXPECT_EQ(doc.rfind("{\n  \"schema_version\": 1,\n"
-                        "  \"kind\": \"fleet\",\n",
-                        0),
+    const std::string text = os.str();
+    EXPECT_EQ(text.rfind("{\n  \"schema_version\": 1,\n"
+                         "  \"kind\": \"fleet\",\n",
+                         0),
               0u)
-        << doc;
-    EXPECT_NE(doc.find("\"metrics\": {"), std::string::npos);
-    EXPECT_NE(doc.find("\"p99_ms\": "), std::string::npos);
-    EXPECT_NE(doc.find("\"throughput_rps\": "), std::string::npos);
-    EXPECT_NE(doc.find("\"packing_density\": "), std::string::npos);
-    EXPECT_NE(doc.find("\"digest\": \""), std::string::npos);
+        << text;
 
-    std::ostringstream text;
-    printFleetText(text, report, cfg);
-    EXPECT_NE(text.str().find("fleet digest "), std::string::npos);
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(text, doc, err)) << err;
+    for (const char *key : {"git_sha", "fleet", "profiles", "metrics"})
+        EXPECT_NE(doc.find(key), nullptr) << "missing " << key;
+    const JsonValue *profiles = doc.find("profiles");
+    ASSERT_NE(profiles, nullptr);
+    ASSERT_TRUE(profiles->isArray());
+    EXPECT_FALSE(profiles->items.empty());
+
+    const JsonValue *m = doc.find("metrics");
+    ASSERT_NE(m, nullptr);
+    for (const char *key :
+         {"arrivals", "completed", "rejected", "cold_starts", "warm_hits",
+          "p50_ms", "p99_ms", "p999_ms", "throughput_rps",
+          "cold_start_rate", "packing_density", "peak_rss_pages"})
+        EXPECT_TRUE(m->find(key) != nullptr && m->find(key)->isNumber())
+            << "metrics." << key;
+    const JsonValue *digest = m->find("digest");
+    ASSERT_NE(digest, nullptr);
+    EXPECT_EQ(digest->str, digestToHex(report.metrics.digest));
+    EXPECT_EQ(m->find("completed")->u64 + m->find("rejected")->u64,
+              m->find("arrivals")->u64);
+    EXPECT_GT(m->find("completed")->u64, 0u);
+
+    std::ostringstream plain;
+    printFleetText(plain, report, cfg);
+    EXPECT_NE(plain.str().find("fleet digest "), std::string::npos);
 }
 
 TEST(FleetPipeline, UnknownArrivalKindThrowsBeforeProfiling)

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include "sim/config_canon.h"
 #include "sim/error.h"
 #include "test_util.h"
+#include "val/digest.h"
 
 namespace memento {
 namespace {
@@ -229,19 +231,6 @@ TEST(ResultStore, SweepPolicyAndStoreFaultsDoNotChangeKeys)
     EXPECT_TRUE(base == store.runCellKey(aes, policy, RunOptions{}));
 }
 
-TEST(ResultStore, DerivedKeysSeparateParts)
-{
-    TempStoreDir dir("derived");
-    ResultStore store = openStore(dir);
-
-    const CellKey a = store.derivedKey({"bench-workload", "aes", "3"});
-    EXPECT_FALSE(a == store.derivedKey({"bench-workload", "aes", "4"}));
-    EXPECT_FALSE(a == store.derivedKey({"bench-workload", "bfs", "3"}));
-    // Length-prefixed parts: ("ab","c") must not alias ("a","bc").
-    EXPECT_FALSE(store.derivedKey({"ab", "c"}) ==
-                 store.derivedKey({"a", "bc"}));
-}
-
 // ---- Corruption handling --------------------------------------------
 
 /** Store one cell and return its on-disk path. */
@@ -314,19 +303,46 @@ TEST(ResultStore, GarbageHeaderIsQuarantined)
     expectQuarantinedMiss(store, key);
 }
 
+/**
+ * Hand-write a well-formed record for @p key: valid header, length and
+ * checksum, with @p cell_kind and @p payload chosen by the caller.
+ */
+void
+writeRecord(const ResultStore &store, const CellKey &key,
+            std::string_view cell_kind, std::string_view payload)
+{
+    DigestBuilder checksum;
+    checksum.add(payload);
+    std::ofstream(store.dir() + "/" + key.hex() + ".cell",
+                  std::ios::binary | std::ios::trunc)
+        << "{\"schema_version\": 1, \"kind\": \"result-cell\", "
+        << "\"cell_kind\": \"" << cell_kind << "\", \"key\": \""
+        << key.hex() << "\", \"payload_bytes\": " << payload.size()
+        << ", \"checksum\": \"" << digestToHex(checksum.value())
+        << "\"}\n"
+        << payload;
+}
+
 TEST(ResultStore, WrongCellKindIsDamage)
 {
     TempStoreDir dir("kind");
     ResultStore store = openStore(dir);
+    CellKey key;
+    const std::string path = storeOneCell(store, key);
 
-    const CellKey key = store.derivedKey({"some", "cell"});
-    store.storeCell(key, "bench", "{\"id\": \"aes\"}");
+    // Re-label a valid run payload as another kind: only the kind is
+    // wrong, and that alone must make the record damage.
+    std::string record;
+    ASSERT_TRUE(readFile(path, record));
+    writeRecord(store, key, "bench", record.substr(record.find('\n') + 1));
 
-    // Asking for the same key under a different kind must not return
-    // the bench payload as a run payload.
-    std::string payload;
-    EXPECT_FALSE(store.loadCell(key, "run", payload));
-    EXPECT_EQ(store.stats().quarantined, 1u);
+    RunResult got;
+    unsigned attempts = 0;
+    EXPECT_FALSE(store.loadRun(key, got, attempts));
+    const StoreStats stats = store.stats();
+    EXPECT_EQ(stats.quarantined, 1u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST(ResultStore, UnparseableRunPayloadIsQuarantined)
@@ -335,11 +351,11 @@ TEST(ResultStore, UnparseableRunPayloadIsQuarantined)
     ResultStore store = openStore(dir);
 
     // A structurally valid cell (header + checksum OK) whose payload
-    // is not a RunResult: loadCell succeeds, loadRun must quarantine.
+    // is not a RunResult: loadRun must quarantine it.
     const CellKey key = store.runCellKey(workloadById("aes"),
                                          test::smallConfig(),
                                          RunOptions{});
-    store.storeCell(key, "run", "{\"workload\": \"aes\"}");
+    writeRecord(store, key, "run", "{\"workload\": \"aes\"}");
 
     RunResult got;
     unsigned attempts = 0;
@@ -358,8 +374,7 @@ TEST(ResultStore, NoTemporaryFilesLeftBehind)
     for (int i = 0; i < 8; ++i) {
         RunResult r = richResult();
         r.cycles = i;
-        store.storeRun(store.derivedKey({"cell", std::to_string(i)}), r,
-                       1);
+        store.storeRun(CellKey{static_cast<std::uint64_t>(i + 1)}, r, 1);
     }
 
     std::size_t cells = 0;
@@ -382,9 +397,9 @@ TEST(ResultStore, MergeIsAValidatedUnion)
     ResultStore src = openStore(src_dir);
 
     // dst holds cells {A}; src holds {A, B, C} with C corrupted.
-    const CellKey a = dst.derivedKey({"cell", "a"});
-    const CellKey b = dst.derivedKey({"cell", "b"});
-    const CellKey c = dst.derivedKey({"cell", "c"});
+    const CellKey a{0xa};
+    const CellKey b{0xb};
+    const CellKey c{0xc};
     RunResult r = richResult();
     dst.storeRun(a, r, 1);
     src.storeRun(a, r, 1);
@@ -416,7 +431,7 @@ TEST(ResultStore, MergeRepairsACorruptDestinationRecord)
     ResultStore dst = openStore(dst_dir);
     ResultStore src = openStore(src_dir);
 
-    const CellKey key = dst.derivedKey({"cell", "x"});
+    const CellKey key{0x1};
     src.storeRun(key, richResult(), 1);
     std::ofstream(dst_dir.path() + "/" + key.hex() + ".cell",
                   std::ios::binary | std::ios::trunc)

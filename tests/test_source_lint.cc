@@ -11,7 +11,9 @@
  *      strings, and comments must never produce findings, and inline
  *      `lint-src: allow(...)` comments suppress exactly their line.
  *   3. The full pipeline: lintSourcePaths() renders byte-identical
- *      reports at --jobs 1/2/4 (the same contract as `check all`).
+ *      reports at --jobs 1/2/4 (the same contract as `check all`), and
+ *      the corpus findings and the rule table parse back as JSON with
+ *      every key present.
  *   4. DiagPolicy edges on the new rules: --werror never promotes
  *      Note, --allow removes findings from every count, and the text
  *      and JSON renderings agree on error/warning/note totals.
@@ -29,6 +31,7 @@
 #include "cli/options.h"
 #include "sa/diag.h"
 #include "sa/source_lint.h"
+#include "sim/json.h"
 
 #ifndef MEMENTO_TEST_CORPUS_DIR
 #error "MEMENTO_TEST_CORPUS_DIR must point at tests/sa_corpus"
@@ -239,6 +242,35 @@ TEST(SourceLintPipeline, ReportIsByteIdenticalAcrossJobLevels)
     EXPECT_EQ(renders[0], renders[2]);
 }
 
+TEST(SourceLintPipeline, CorpusJsonFindingsCarryEveryKey)
+{
+    DiagReport report;
+    lintSourcePaths({kCorpusDir}, 1, report);
+    std::ostringstream os;
+    report.printJson(os);
+
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(os.str(), doc, err)) << err;
+    ASSERT_NE(doc.find("schema_version"), nullptr);
+    EXPECT_EQ(doc.find("schema_version")->u64, 1u);
+    ASSERT_NE(doc.find("kind"), nullptr);
+    EXPECT_EQ(doc.find("kind")->str, "diagnostics");
+    for (const char *key : {"findings", "errors", "warnings", "notes"})
+        EXPECT_NE(doc.find(key), nullptr) << "missing " << key;
+
+    const JsonValue *findings = doc.find("findings");
+    ASSERT_NE(findings, nullptr);
+    ASSERT_FALSE(findings->items.empty()) << "corpus produced nothing";
+    for (const JsonValue &d : findings->items) {
+        for (const char *key : {"rule", "severity", "subject", "message"}) {
+            const JsonValue *v = d.find(key);
+            EXPECT_TRUE(v != nullptr && v->isString())
+                << "diagnostic missing " << key;
+        }
+    }
+}
+
 TEST(SourceLintPipeline, CollectSourceFilesIsSortedAndKeyed)
 {
     const auto files =
@@ -373,6 +405,43 @@ TEST(SourceLintCli, RulesCommandIsRegistered)
 }
 
 using SourceLintCliDeath = ::testing::Test;
+
+TEST(SourceLintCli, RulesJsonIdsAreUniqueAndCoverEveryAnalyzer)
+{
+    std::ostringstream os;
+    printRulesJson(os);
+
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(os.str(), doc, err)) << err;
+    ASSERT_NE(doc.find("schema_version"), nullptr);
+    EXPECT_EQ(doc.find("schema_version")->u64, 1u);
+    ASSERT_NE(doc.find("kind"), nullptr);
+    EXPECT_EQ(doc.find("kind")->str, "rules");
+
+    const JsonValue *rules = doc.find("rules");
+    ASSERT_NE(rules, nullptr);
+    ASSERT_TRUE(rules->isArray());
+    std::set<std::string> ids;
+    for (const JsonValue &r : rules->items) {
+        const JsonValue *id = r.find("id");
+        const JsonValue *severity = r.find("severity");
+        ASSERT_TRUE(id != nullptr && id->isString());
+        ASSERT_TRUE(severity != nullptr && severity->isString());
+        EXPECT_TRUE(ids.insert(id->str).second)
+            << "duplicate rule id " << id->str;
+        EXPECT_TRUE(severity->str == "note" || severity->str == "warning" ||
+                    severity->str == "error")
+            << id->str << ": " << severity->str;
+    }
+    for (const std::string_view prefix : {"trace-", "config-", "src-"}) {
+        EXPECT_TRUE(std::any_of(ids.begin(), ids.end(),
+                                [&](const std::string &id) {
+                                    return id.starts_with(prefix);
+                                }))
+            << "no rule with prefix " << prefix;
+    }
+}
 
 TEST(SourceLintCliDeath, UnknownRuleInCommaListIsFatal)
 {

@@ -50,7 +50,8 @@
  *       simulator itself (ops/s, per-op latency percentiles, serial
  *       and parallel sweep wall time). Always writes the versioned
  *       JSON document to --out (default BENCH_PR8.json); --json also
- *       prints it to stdout instead of the text summary.
+ *       prints it to stdout instead of the text summary. Every run
+ *       measures afresh: bench takes no --cache.
  *
  *   memento_sim fleet [options]
  *       Fleet-scale serverless node simulation (src/fleet): an
@@ -79,7 +80,7 @@
  *   memento_sim help [command]
  *       Render the global usage page or one command's options.
  *
- * Crash-safe sweeps: `run all`, `compare all`, `figures`, and `bench`
+ * Crash-safe sweeps: `run all`, `compare all`, `figures`, and `fleet`
  * accept --cache DIR, which persists every completed cell to a
  * content-addressed result store (machine/result_store.h). A killed or
  * interrupted sweep resumes from the cache with byte-identical stdout;
@@ -617,19 +618,7 @@ int
 cmdRules(const CliOptions &opts)
 {
     if (opts.json) {
-        JsonWriter w(std::cout);
-        w.beginObject();
-        writeSchemaHeader(w, "rules");
-        w.key("rules").beginArray();
-        for (const DiagRule &r : allDiagRules()) {
-            w.beginObject();
-            w.member("id", r.id);
-            w.member("severity", severityName(r.severity));
-            w.member("summary", r.summary);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
+        printRulesJson(std::cout);
         std::cout << "\n";
         return 0;
     }
@@ -658,27 +647,16 @@ cmdTrace(const std::string &id, const std::string &path)
 int
 cmdBench(const CliOptions &opts)
 {
-    const std::unique_ptr<ResultStore> store = makeStore(opts);
-    fatal_if(opts.cfg.sweep.shardIndex >= opts.cfg.sweep.shardCount,
-             "sweep.shard_index (", opts.cfg.sweep.shardIndex,
-             ") must be below sweep.shard_count (",
-             opts.cfg.sweep.shardCount, ")");
-
     BenchOptions bopts;
     bopts.cfg = opts.cfg;
     bopts.smoke = opts.smoke;
     bopts.repeats = opts.repeats;
     bopts.jobs = opts.jobs;
-    bopts.store = store.get();
-    bopts.shardIndex = opts.cfg.sweep.shardIndex;
-    bopts.shardCount = opts.cfg.sweep.shardCount;
 
     std::cerr << "benchmarking the " << (bopts.smoke ? "smoke" : "full")
               << " sweep (" << bopts.repeats
               << " timed repeat(s) per workload)...\n";
     const BenchReport report = runBench(bopts);
-    if (store != nullptr)
-        reportStoreStats(*store);
 
     // The report lands atomically: a reader (or a crash) never sees a
     // half-written BENCH_*.json under the final name.
@@ -710,8 +688,6 @@ cmdFleet(const CliOptions &opts)
 
     if (store != nullptr)
         reportStoreStats(*store);
-    if (report.fromCache)
-        std::cerr << "fleet summary served from cache\n";
 
     // stdout carries only simulated (integer-derived) values: the text
     // and JSON renderings are byte-identical across --jobs levels and
