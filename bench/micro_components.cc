@@ -9,12 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "fleet/arrivals.h"
 #include "fleet/fleet.h"
 #include "machine/machine.h"
+#include "sim/rng.h"
 #include "wl/trace_generator.h"
 #include "wl/workloads.h"
 
@@ -76,6 +78,34 @@ BM_AppAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AppAccess);
+
+void
+BM_AppAccessScattered(benchmark::State &state)
+{
+    // Random line-aligned reads over a static footprint 8x the larger of
+    // the simulated LLC and the L2 TLB's reach, so L2 TLB misses with
+    // page walks, LLC misses and DRAM are all on the timed path
+    // (BM_AppAccess stays in L2 and the L1 TLB).
+    const MachineConfig cfg = defaultConfig();
+    const std::uint64_t footprint =
+        8 * std::max<std::uint64_t>(cfg.llc.sizeBytes,
+                                    cfg.l2Tlb.entries * kPageSize);
+    WorkloadSpec spec = workloadById("aes");
+    spec.staticWsBytes = footprint;
+    Machine machine(cfg);
+    machine.createProcess(spec);
+    const Addr base = machine.staticBase();
+    // Fault every page in first: the steady state has no page faults.
+    for (std::uint64_t off = 0; off < footprint; off += kPageSize)
+        machine.appAccess(base + off, AccessType::Read);
+    Rng rng(1);
+    for (auto _ : state) {
+        const std::uint64_t line = rng.nextBelow(footprint >> kLineShift);
+        machine.appAccess(base + (line << kLineShift), AccessType::Read);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AppAccessScattered);
 
 void
 BM_TraceGeneration(benchmark::State &state)

@@ -32,15 +32,13 @@ HwObjectAllocator::newArena(MementoSpace &space, unsigned cls, Env &env)
     // Fig. 6) without fetching stale data from DRAM.
     env.installPhysical(grant.headerPa);
 
-    auto [it, inserted] = space.arenas.emplace(grant.va, state);
-    panic_if(!inserted, "memento: duplicate arena at 0x", std::hex,
-             grant.va);
+    ArenaState &inserted = space.arenas.insert(state);
 
     HotEntry &e = hot_.entry(cls);
     e.valid = true;
     e.arenaVa = grant.va;
     e.arenaPa = grant.headerPa;
-    return it->second;
+    return inserted;
 }
 
 ArenaState &
@@ -104,7 +102,8 @@ HwObjectAllocator::objAlloc(MementoSpace &space, std::uint64_t size,
         hit = false;
         state = &installArena(space, cls, env);
     } else {
-        state = &space.arenas.at(e.arenaVa);
+        state = space.arenas.find(cls, geometry_.locate(e.arenaVa).arena);
+        panic_if(state == nullptr, "HOT caches a released arena");
         if (state->full(capacity)) {
             // Only reachable with eager prefetch disabled.
             hit = false;
@@ -136,17 +135,20 @@ HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
     CategoryScope scope(env.ledger(), CycleCategory::HwFree);
     env.chargeCycles(hot_.latency());
 
-    const unsigned cls = geometry_.classOf(va);
-    const Addr arena_base = geometry_.arenaBaseOf(va);
+    const ArenaCoord at = geometry_.locate(va);
+    const unsigned cls = at.cls;
+    const Addr arena_base = va - at.offset;
     const unsigned capacity = geometry_.objectsPerArena();
 
-    auto it = space.arenas.find(arena_base);
-    if (it == space.arenas.end())
+    ArenaState *found = space.arenas.find(cls, at.arena);
+    if (found == nullptr)
         return FreeStatus::UnknownArena;
-    ArenaState &state = it->second;
+    ArenaState &state = *found;
 
-    const unsigned idx = geometry_.objIndexOf(va);
-    if (!state.bitmap.test(idx))
+    // Slots past the capacity (the span's page padding) are never
+    // allocated.
+    const unsigned idx = geometry_.objIndexOf(at);
+    if (idx >= capacity || !state.bitmap.test(idx))
         return FreeStatus::NotAllocated;
 
     if (state.ownerThread != thread) {
@@ -175,9 +177,10 @@ HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
 
     // Bypass-counter maintenance: a freed object surrenders its lines
     // if they were the high-water mark.
-    const unsigned first_line = geometry_.lineIndexOf(va);
-    const unsigned last_line =
-        geometry_.lineIndexOf(va + sizeClassBytes(cls) - 1);
+    const unsigned first_line =
+        static_cast<unsigned>(at.offset >> kLineShift);
+    const unsigned last_line = static_cast<unsigned>(
+        (at.offset + sizeClassBytes(cls) - 1) >> kLineShift);
     if (state.bypassCounter == last_line + 1)
         state.bypassCounter = first_line;
 
@@ -207,7 +210,7 @@ HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
             }
         }
         pageAlloc_.freeArena(space, arena_base, env);
-        space.arenas.erase(it);
+        space.arenas.erase(arena_base);
     }
     return FreeStatus::Ok;
 }
@@ -215,14 +218,13 @@ HwObjectAllocator::objFree(MementoSpace &space, Addr va, Env &env,
 void
 HwObjectAllocator::releaseAllArenas(MementoSpace &space, Env &env)
 {
-    // Release in ascending VA order: freeArena rebuilds the page
-    // allocator's free lists, so hash-order teardown would leave an
-    // implementation-defined free-list order for the next function
-    // instance to allocate from.
-    for (Addr va : space.arenaBasesAscending()) {
+    // Release in ascending VA order (the table's walk order): freeArena
+    // rebuilds the page allocator's free lists, so the order fixes the
+    // free-list order the next function instance allocates from.
+    space.arenas.forEach([&](const ArenaState &state) {
         ++arenasReleased_;
-        pageAlloc_.freeArena(space, va, env);
-    }
+        pageAlloc_.freeArena(space, state.va, env);
+    });
     space.arenas.clear();
     for (auto &list : space.availList)
         list.clear();
@@ -239,14 +241,12 @@ HwObjectAllocator::inactiveSlotFraction(const MementoSpace &space) const
     const unsigned capacity = geometry_.objectsPerArena();
     std::uint64_t total = 0;
     std::uint64_t active = 0;
-    // Commutative integer sums: visit order cannot affect the result.
-    for (const auto &[va, state] :
-         space.arenas) { // lint-src: allow(src-unordered-iteration)
+    space.arenas.forEach([&](const ArenaState &state) {
         if (state.allocated == 0)
-            continue;
+            return;
         total += capacity;
         active += state.allocated;
-    }
+    });
     if (total == 0)
         return 0.0;
     return 1.0 - static_cast<double>(active) / static_cast<double>(total);

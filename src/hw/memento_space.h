@@ -12,9 +12,7 @@
 #ifndef MEMENTO_HW_MEMENTO_SPACE_H
 #define MEMENTO_HW_MEMENTO_SPACE_H
 
-#include <algorithm>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/arena.h"
@@ -27,6 +25,7 @@ struct MementoSpace
 {
     MementoSpace(const ArenaGeometry &geometry, FrameSource &pool_frames)
         : bump(geometry.numClasses()),
+          arenas(geometry),
           availList(geometry.numClasses()),
           fullList(geometry.numClasses()),
           mpt(pool_frames)
@@ -38,25 +37,8 @@ struct MementoSpace
     /** Next un-handed-out arena VA per size class (§3.2 pointers). */
     std::vector<Addr> bump;
 
-    /** Memory-resident arena headers, keyed by arena base VA. */
-    std::unordered_map<Addr, ArenaState> arenas;
-
-    /**
-     * Base VAs of every arena in ascending order: the one visit order
-     * for anything whose result depends on order (teardown, digests,
-     * invariant reports), since `arenas` iterates in hash order.
-     */
-    std::vector<Addr>
-    arenaBasesAscending() const
-    {
-        std::vector<Addr> bases;
-        bases.reserve(arenas.size());
-        for (const auto &[va, state] :
-             arenas) // lint-src: allow(src-unordered-iteration)
-            bases.push_back(va);
-        std::sort(bases.begin(), bases.end());
-        return bases;
-    }
+    /** Memory-resident arena headers, walked in ascending VA order. */
+    ArenaTable arenas;
 
     /** Per-class list of arenas with at least one free object. */
     std::vector<std::deque<Addr>> availList;

@@ -1,5 +1,6 @@
 #include "machine/function_executor.h"
 
+#include <algorithm>
 #include <string>
 
 #include "sim/error.h"
@@ -30,29 +31,34 @@ FunctionExecutor::execute(const WorkloadSpec &spec, const TraceOp &op)
         machine_.appCompute(op.value);
         break;
       case OpKind::StaticLoad:
-        machine_.appAccess(static_base + op.offset % spec.staticWsBytes,
-                           AccessType::Read);
+      case OpKind::StaticStore: {
+        // Synthesized offsets are in range already: skip the divide.
+        const std::uint64_t ws = spec.staticWsBytes;
+        machine_.appAccess(static_base +
+                               (op.offset < ws ? op.offset : op.offset % ws),
+                           op.kind == OpKind::StaticStore ? AccessType::Write
+                                                          : AccessType::Read);
         break;
-      case OpKind::StaticStore:
-        machine_.appAccess(static_base + op.offset % spec.staticWsBytes,
-                           AccessType::Write);
-        break;
+      }
       case OpKind::Malloc: {
         sim_error_if(op.value == 0, ErrorCategory::Trace,
                      "trace: zero-size malloc of object ", op.objId);
         Addr addr = alloc.malloc(op.value, machine_);
         if (op.objId < kDenseIdLimit) {
-            if (op.objId >= dense_.size())
-                dense_.resize(op.objId + 1);
+            if (op.objId >= dense_.size()) {
+                dense_.resize(std::min<std::uint64_t>(
+                    kDenseIdLimit,
+                    std::max<std::uint64_t>(op.objId + 1,
+                                            2 * dense_.size())));
+            }
             ObjectInfo &slot = dense_[op.objId];
-            sim_error_if(slot.live, ErrorCategory::Trace,
+            sim_error_if(slot.live(), ErrorCategory::Trace,
                          "trace: duplicate object id ", op.objId);
             slot.addr = addr;
             slot.size = op.value;
-            slot.live = true;
         } else {
-            auto [it, inserted] = sparse_.emplace(
-                op.objId, ObjectInfo{addr, op.value, true});
+            auto [it, inserted] =
+                sparse_.emplace(op.objId, ObjectInfo{addr, op.value});
             (void)it;
             sim_error_if(!inserted, ErrorCategory::Trace,
                          "trace: duplicate object id ", op.objId);
@@ -69,9 +75,9 @@ FunctionExecutor::execute(const WorkloadSpec &spec, const TraceOp &op)
         break;
       }
       case OpKind::Free: {
-        if (op.objId < dense_.size() && dense_[op.objId].live) {
+        if (op.objId < dense_.size() && dense_[op.objId].live()) {
             ObjectInfo &slot = dense_[op.objId];
-            slot.live = false;
+            slot.size = 0;
             --liveCount_;
             alloc.free(slot.addr, machine_);
             break;
@@ -87,7 +93,7 @@ FunctionExecutor::execute(const WorkloadSpec &spec, const TraceOp &op)
       case OpKind::Load:
       case OpKind::Store: {
         const ObjectInfo *info;
-        if (op.objId < dense_.size() && dense_[op.objId].live) {
+        if (op.objId < dense_.size() && dense_[op.objId].live()) {
             info = &dense_[op.objId];
         } else {
             auto it = sparse_.find(op.objId);
@@ -119,12 +125,12 @@ void
 FunctionExecutor::flipArenaBit()
 {
     MementoSpace *space = machine_.mementoSpace();
-    if (!space || space->arenas.empty())
-        return;
+    ArenaState *victim = space ? space->arenas.lowest() : nullptr;
     // Deterministic victim: the lowest-addressed live arena. Flipping
     // slot 0 desynchronises the bitmap from the allocated count either
     // way the bit goes, so the checker always sees it.
-    space->arenas.at(space->arenaBasesAscending().front()).bitmap.flip(0);
+    if (victim)
+        victim->bitmap.flip(0);
 }
 
 void

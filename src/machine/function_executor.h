@@ -78,8 +78,9 @@ class FunctionExecutor
     struct ObjectInfo
     {
         Addr addr = 0;
-        std::uint64_t size = 0;
-        bool live = false;
+        std::uint64_t size = 0; ///< 0 when not live (mallocs are > 0).
+
+        bool live() const { return size != 0; }
     };
 
     /**
@@ -100,7 +101,8 @@ class FunctionExecutor
      * Object bindings. Trace generators issue ids densely from 1, so
      * the common case is a bounds check plus an indexed load — the
      * hash lookup per Load/Store/Free dominated the replay profile.
-     * Grown on demand; FunctionEnd clears size but keeps capacity.
+     * Grown geometrically on demand; FunctionEnd clears size but keeps
+     * capacity.
      */
     std::vector<ObjectInfo> dense_;
     std::unordered_map<std::uint64_t, ObjectInfo> sparse_;

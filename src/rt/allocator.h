@@ -9,11 +9,11 @@
  * surface exactly where the real software would cause them.
  *
  * The base owns everything the models share: the live-object ledger
- * (pointer -> requested size, plus the live-byte total), the size-0
- * assertion, the bad-free check, and the routing of every request
- * above kMaxSmallSize to one glibc-style large-object model (§4: the
- * same software path serves large objects in both the baseline and
- * Memento). A model implements only its small-object path.
+ * (a LiveLedger of pointer -> requested size, plus the live-byte
+ * total), the size-0 assertion, the bad-free check, and the routing
+ * of every request above kMaxSmallSize to one glibc-style large-object
+ * model (§4: the same software path serves large objects in both the
+ * baseline and Memento). A model implements only its small-object path.
  *
  * malloc() charges under CycleCategory::UserAlloc, free() under
  * UserFree; kernel work they trigger re-scopes itself (see
@@ -25,13 +25,68 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/env.h"
 #include "rt/glibc_large.h"
 #include "sim/types.h"
 
 namespace memento {
+
+/**
+ * Live-object ledger: pointer -> requested size. Open addressing with
+ * linear probing over a power-of-two slot array kept at most half full,
+ * and backward-shift erase, so there are no tombstones and no heap node
+ * per object. Pointer 0 (kNullAddr, never an allocation) marks an empty
+ * slot.
+ */
+class LiveLedger
+{
+  public:
+    /** Requested size of live @p ptr, or nullptr when it is not live. */
+    const std::uint64_t *find(Addr ptr) const;
+
+    /** Record @p ptr (not kNullAddr) as live with @p size. */
+    void insert(Addr ptr, std::uint64_t size);
+
+    /**
+     * Drop @p ptr and store its size in @p size.
+     * @return false (and change nothing) when @p ptr is not live.
+     */
+    bool erase(Addr ptr, std::uint64_t &size);
+
+    /** Drop every entry, keeping the slot array. */
+    void clear();
+
+    /** Live entries. */
+    std::size_t size() const { return size_; }
+
+  private:
+    struct Slot
+    {
+        Addr ptr = kNullAddr;
+        std::uint64_t size = 0;
+    };
+
+    /** Fibonacci hash: the top bits of ptr * 2^64/phi. */
+    std::size_t
+    home(Addr ptr) const
+    {
+        return static_cast<std::size_t>((ptr * 0x9e3779b97f4a7c15ull) >>
+                                        shift_);
+    }
+
+    /** Slot holding @p ptr, or the empty slot ending its probe run. */
+    std::size_t probe(Addr ptr) const;
+
+    /** Double the slot array and re-insert every entry. */
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    unsigned shift_ = 64;
+    std::size_t size_ = 0;
+};
 
 /** Userspace allocator: shared ledger and large path, per-model small path. */
 class Allocator
@@ -62,7 +117,7 @@ class Allocator
     void functionExit(Env &env);
 
     /** True when @p ptr is a live allocation (test/validation hook). */
-    bool isLive(Addr ptr) const { return live_.count(ptr) != 0; }
+    bool isLive(Addr ptr) const { return live_.find(ptr) != nullptr; }
 
     /** Bytes currently live (requested sizes). */
     std::uint64_t liveBytes() const { return liveBytes_; }
@@ -100,7 +155,7 @@ class Allocator
 
   private:
     GlibcLargeAlloc large_;
-    std::unordered_map<Addr, std::uint64_t> live_; ///< ptr -> size.
+    LiveLedger live_;
     std::uint64_t liveBytes_ = 0;
 };
 

@@ -37,23 +37,16 @@ addSpace(DigestBuilder &d, const MementoSpace &space)
     for (Addr bump : space.bump)
         d.add(bump);
 
-    for (Addr va : space.arenaBasesAscending()) {
-        const ArenaState &state = space.arenas.at(va);
+    space.arenas.forEach([&](const ArenaState &state) {
         d.add(state.va);
         d.add(state.headerPa);
         d.add(state.szclass);
         d.add(state.ownerThread);
         d.add(state.allocated);
         d.add(state.bypassCounter);
-        for (unsigned word = 0; word < ArenaState::kMaxObjects; word += 64) {
-            std::uint64_t bits = 0;
-            for (unsigned bit = 0; bit < 64; ++bit) {
-                if (state.bitmap.test(word + bit))
-                    bits |= 1ull << bit;
-            }
-            d.add(bits);
-        }
-    }
+        for (std::uint64_t word : state.bitmap.words)
+            d.add(word);
+    });
 
     for (const auto &list : space.availList) {
         d.add(static_cast<std::uint64_t>(list.size()));

@@ -171,17 +171,18 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
 
         // Validate arenas in ascending VA order so a report with
         // several violations lists them deterministically.
-        for (Addr va : space->arenaBasesAscending()) {
-            const ArenaState &state = space->arenas.at(va);
+        space->arenas.forEach([&](const ArenaState &state) {
+            const Addr va = state.va;
             std::ostringstream who_arena;
             who_arena << who << ": arena 0x" << std::hex << va;
-            if (state.va != va)
+            // A header sits in the table slot its VA field indexes.
+            if (space->arenas.find(va) != &state)
                 v.push_back(who_arena.str() + ": header VA field mismatch");
             if (!geo.inRegion(va) || geo.arenaBaseOf(va) != va ||
                 geo.classOf(va) != state.szclass) {
                 v.push_back(who_arena.str() +
                             ": base/class disagree with region geometry");
-                continue;
+                return;
             }
             if (state.allocated != state.bitmap.count()) {
                 std::ostringstream os;
@@ -197,11 +198,11 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
             if (state.bypassCounter > geo.arenaSpan(state.szclass) / 64)
                 v.push_back(who_arena.str() +
                             ": bypass counter past the arena span");
-        }
+        });
 
         // List discipline: avail holds non-full arenas, full holds full
         // ones, and no arena sits on two lists (HOT-resident arenas sit
-        // on none). Each listed arena must exist in the header map.
+        // on none). Each listed arena must exist in the header table.
         std::unordered_set<Addr> listed;
         auto check_list = [&](unsigned cls, const std::deque<Addr> &list,
                               bool want_full, const char *list_name) {
@@ -213,14 +214,14 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
                     v.push_back(os.str() + " linked on two lists");
                     continue;
                 }
-                auto it = space->arenas.find(va);
-                if (it == space->arenas.end()) {
+                const ArenaState *state = space->arenas.find(va);
+                if (state == nullptr) {
                     v.push_back(os.str() + " has no header");
                     continue;
                 }
-                if (it->second.szclass != cls)
+                if (state->szclass != cls)
                     v.push_back(os.str() + " linked under the wrong class");
-                if (it->second.full(capacity) != want_full)
+                if (state->full(capacity) != want_full)
                     v.push_back(os.str() + (want_full
                                     ? " on the full list but not full"
                                     : " on the avail list but full"));
@@ -260,16 +261,16 @@ InvariantChecker::checkMemento(Machine &m, std::vector<std::string> &v)
             const HotEntry &e = hot->entry(cls);
             if (!e.valid)
                 continue;
-            auto it = current->arenas.find(e.arenaVa);
+            const ArenaState *state = current->arenas.find(e.arenaVa);
             std::ostringstream os;
             os << "hot[" << cls << "]: arena 0x" << std::hex << e.arenaVa;
-            if (it == current->arenas.end()) {
-                v.push_back(os.str() + " not present in the header map");
+            if (state == nullptr) {
+                v.push_back(os.str() + " not present in the header table");
                 continue;
             }
-            if (it->second.szclass != cls)
+            if (state->szclass != cls)
                 v.push_back(os.str() + " cached under the wrong class");
-            if (it->second.headerPa != e.arenaPa)
+            if (state->headerPa != e.arenaPa)
                 v.push_back(os.str() + " cached with a stale header PA");
             auto on = [&](const std::deque<Addr> &list) {
                 return std::find(list.begin(), list.end(), e.arenaVa) !=

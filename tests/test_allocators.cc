@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "rt/glibc_large.h"
 #include "rt/gomalloc.h"
@@ -762,6 +763,65 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Kind> &info) {
         return kindName(info.param);
     });
+
+// ---------------------------------------------------------------------
+// The base's flat live-object ledger against a hash-map oracle
+// ---------------------------------------------------------------------
+
+TEST(LiveLedger, MatchesUnorderedMapOracle)
+{
+    // Three key families: 64 KiB-strided keys (identical low 16 bits),
+    // dense 16-byte-aligned heap-like keys, and sparse random keys.
+    std::vector<Addr> keys;
+    for (Addr i = 1; i <= 1500; ++i)
+        keys.push_back(i << 16);
+    for (Addr i = 0; i < 1500; ++i)
+        keys.push_back(0x7000'0000 + 16 * i);
+    Rng rng(2024);
+    for (int i = 0; i < 1500; ++i)
+        keys.push_back((rng.next() | 1) & ((1ull << 48) - 1));
+
+    LiveLedger ledger;
+    std::unordered_map<Addr, std::uint64_t> oracle;
+    auto check_all = [&] {
+        ASSERT_EQ(ledger.size(), oracle.size());
+        for (Addr key : keys) {
+            const std::uint64_t *size = ledger.find(key);
+            const auto it = oracle.find(key);
+            ASSERT_EQ(size != nullptr, it != oracle.end()) << key;
+            if (size != nullptr) {
+                ASSERT_EQ(*size, it->second) << key;
+            }
+        }
+    };
+    for (int step = 0; step < 100000; ++step) {
+        const Addr key = keys[rng.nextBelow(keys.size())];
+        const std::uint64_t roll = rng.nextBelow(10000);
+        if (roll == 0) {
+            ledger.clear();
+            oracle.clear();
+        } else if (roll < 5500) {
+            const std::uint64_t size = rng.nextRange(1, 1 << 20);
+            ledger.insert(key, size);
+            oracle[key] = size;
+        } else {
+            std::uint64_t size = 0;
+            const auto it = oracle.find(key);
+            ASSERT_EQ(ledger.erase(key, size), it != oracle.end()) << key;
+            if (it != oracle.end()) {
+                ASSERT_EQ(size, it->second) << key;
+                oracle.erase(it);
+            }
+        }
+        ASSERT_EQ(ledger.size(), oracle.size()) << "step " << step;
+        if (step % 997 == 0)
+            check_all();
+    }
+    check_all();
+    std::uint64_t size = 0;
+    EXPECT_FALSE(ledger.erase(kNullAddr, size));
+    EXPECT_EQ(ledger.find(kNullAddr), nullptr);
+}
 
 } // namespace
 } // namespace memento

@@ -89,6 +89,200 @@ TEST_P(GeometryRoundTrip, ObjectAddressRoundTrips)
 INSTANTIATE_TEST_SUITE_P(AllClasses, GeometryRoundTrip,
                          ::testing::Values(0u, 1u, 7u, 31u, 62u, 63u));
 
+/** locate() agrees with plain 64-bit division, power of two or not. */
+TEST(GeometryLocate, MatchesDivisionForAnyRegionSize)
+{
+    MachineConfig cfg = test::smallMementoConfig();
+    const std::uint64_t sizes[] = {std::uint64_t{1} << 30,
+                                   3 * (std::uint64_t{1} << 20) +
+                                       3 * kPageSize,
+                                   7 * kPageSize};
+    for (std::uint64_t per_class : sizes) {
+        cfg.layout.perClassRegionBytes = per_class;
+        const ArenaGeometry geo(cfg.memento, cfg.layout);
+        Rng rng(per_class);
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t rel =
+                rng.nextBelow(geo.regionEnd() - geo.regionStart());
+            const unsigned cls = static_cast<unsigned>(rel / per_class);
+            const std::uint64_t in_class = rel - cls * per_class;
+            const std::uint64_t span = geo.arenaSpan(cls);
+            const ArenaCoord at = geo.locate(geo.regionStart() + rel);
+            ASSERT_EQ(at.cls, cls) << per_class << " rel " << rel;
+            ASSERT_EQ(at.arena, in_class / span)
+                << per_class << " rel " << rel;
+            ASSERT_EQ(at.offset, in_class % span)
+                << per_class << " rel " << rel;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Arena header bitmap
+// ---------------------------------------------------------------------
+
+/** Reference: the lowest clear slot below capacity, bit by bit. */
+unsigned
+scanFreeSlot(const ArenaState &state, unsigned capacity)
+{
+    for (unsigned i = 0; i < capacity; ++i) {
+        if (!state.bitmap.test(i))
+            return i;
+    }
+    return capacity;
+}
+
+TEST(SlotBitmap, FindFreeSlotMatchesBitScan)
+{
+    Rng rng(17);
+    for (unsigned capacity = 1; capacity <= ArenaState::kMaxObjects;
+         ++capacity) {
+        std::vector<ArenaState> cases;
+        ArenaState all_set;
+        all_set.bitmap.words.fill(~0ull);
+        cases.push_back(ArenaState{}); // Empty.
+        cases.push_back(all_set);
+        for (unsigned w = 0; w < 4; ++w) {
+            ArenaState one_full_word; // Only word w full.
+            one_full_word.bitmap.words[w] = ~0ull;
+            cases.push_back(one_full_word);
+            ArenaState full_through = all_set; // Words 0..w full.
+            for (unsigned rest = w + 1; rest < 4; ++rest)
+                full_through.bitmap.words[rest] = 0;
+            cases.push_back(full_through);
+        }
+        ArenaState last_free = all_set; // Only the last slot free.
+        last_free.bitmap.reset(capacity - 1);
+        cases.push_back(last_free);
+        for (int r = 0; r < 8; ++r) {
+            ArenaState random;
+            const double density = rng.nextDouble();
+            for (unsigned i = 0; i < ArenaState::kMaxObjects; ++i) {
+                if (rng.nextBool(density))
+                    random.bitmap.set(i);
+            }
+            cases.push_back(random);
+        }
+        for (const ArenaState &state : cases) {
+            ASSERT_EQ(state.findFreeSlot(capacity),
+                      scanFreeSlot(state, capacity))
+                << "capacity " << capacity;
+        }
+    }
+}
+
+TEST(SlotBitmap, SetResetFlipCount)
+{
+    SlotBitmap bits;
+    for (unsigned i : {0u, 63u, 64u, 200u, 255u})
+        bits.set(i);
+    EXPECT_EQ(bits.count(), 5u);
+    EXPECT_TRUE(bits.test(64));
+    bits.reset(64);
+    bits.flip(255);
+    bits.flip(1);
+    EXPECT_FALSE(bits.test(64));
+    EXPECT_FALSE(bits.test(255));
+    EXPECT_TRUE(bits.test(1));
+    EXPECT_EQ(bits.count(), 4u);
+    EXPECT_EQ(bits.words[0], 1ull | 2ull | (1ull << 63));
+}
+
+// ---------------------------------------------------------------------
+// Arena table (dense, per class, indexed by arena number)
+// ---------------------------------------------------------------------
+
+class ArenaTableTest : public ::testing::Test
+{
+  protected:
+    /** Insert the next arena of class @p cls (its bump pointer VA). */
+    ArenaState &
+    grant(unsigned cls)
+    {
+        ArenaState state;
+        state.va = geo.classBase(cls) + next[cls]++ * geo.arenaSpan(cls);
+        state.headerPa = 0x1000 * (table.size() + 1);
+        state.szclass = cls;
+        return table.insert(state);
+    }
+
+    MachineConfig cfg = test::smallMementoConfig();
+    ArenaGeometry geo{cfg.memento, cfg.layout};
+    ArenaTable table{geo};
+    std::vector<std::uint64_t> next = std::vector<std::uint64_t>(64, 0);
+};
+
+TEST_F(ArenaTableTest, AbsentLookups)
+{
+    const Addr a = grant(5).va;
+    const Addr b = grant(5).va;
+    EXPECT_EQ(table.size(), 2u);
+    EXPECT_EQ(table.find(a)->va, a);
+    // Outside the region, before and after.
+    EXPECT_EQ(table.find(geo.regionStart() - kPageSize), nullptr);
+    EXPECT_EQ(table.find(geo.regionEnd()), nullptr);
+    EXPECT_EQ(table.find(kNullAddr), nullptr);
+    // Past the bump pointer, and a class with no arenas.
+    EXPECT_EQ(table.find(b + geo.arenaSpan(5)), nullptr);
+    EXPECT_EQ(table.find(5, 2), nullptr);
+    EXPECT_EQ(table.find(5, 1u << 30), nullptr);
+    EXPECT_EQ(table.find(geo.classBase(6)), nullptr);
+    // Not an arena base.
+    EXPECT_EQ(table.find(a + ArenaGeometry::kHeaderBytes), nullptr);
+    // Erased, at the front (trimmed) and behind a live arena.
+    table.erase(a);
+    EXPECT_EQ(table.find(a), nullptr);
+    EXPECT_EQ(table.find(5, 0), nullptr);
+    EXPECT_EQ(table.find(b)->va, b);
+    const Addr c = grant(5).va;
+    table.erase(c);
+    EXPECT_EQ(table.find(c), nullptr);
+    EXPECT_EQ(table.find(5, 2), nullptr);
+    EXPECT_EQ(table.size(), 1u);
+    table.clear();
+    EXPECT_TRUE(table.empty());
+    EXPECT_EQ(table.find(b), nullptr);
+    EXPECT_EQ(table.lowest(), nullptr);
+}
+
+TEST_F(ArenaTableTest, WalkIsAscendingAndMatchesSortedBases)
+{
+    Rng rng(5);
+    std::set<Addr> live;
+    for (int step = 0; step < 4000; ++step) {
+        if (live.empty() || rng.nextBool(0.6)) {
+            const unsigned cls = static_cast<unsigned>(rng.nextBelow(64));
+            live.insert(grant(cls).va);
+        } else {
+            auto it = live.begin();
+            std::advance(it, rng.nextBelow(live.size()));
+            table.erase(*it);
+            live.erase(it);
+        }
+    }
+    std::vector<Addr> walked;
+    table.forEach(
+        [&](const ArenaState &state) { walked.push_back(state.va); });
+    EXPECT_EQ(walked, std::vector<Addr>(live.begin(), live.end()));
+    EXPECT_EQ(table.size(), live.size());
+    ASSERT_NE(table.lowest(), nullptr);
+    EXPECT_EQ(table.lowest()->va, *live.begin());
+}
+
+TEST_F(ArenaTableTest, ReferenceSurvivesGrowthAndTrimming)
+{
+    ArenaState &first = grant(0);
+    grant(0);
+    ArenaState &third = grant(0);
+    third.allocated = 7;
+    for (int i = 0; i < 20000; ++i)
+        grant(0);
+    table.erase(first.va); // Trims the front slot.
+    EXPECT_EQ(table.find(third.va), &third);
+    EXPECT_EQ(third.allocated, 7u);
+    EXPECT_EQ(table.size(), 20002u);
+}
+
 // ---------------------------------------------------------------------
 // HOT
 // ---------------------------------------------------------------------
@@ -249,8 +443,8 @@ TEST_F(HwAllocTest, EmptyNonResidentArenaIsReleased)
         EXPECT_EQ(objAlloc.objFree(space, a, env), FreeStatus::Ok);
     EXPECT_EQ(stats.value("hwpage.arena_frees"), 1u);
     EXPECT_GT(stats.value("hwpage.shootdowns"), 0u);
-    // Its memory returned to the pool; the arena is gone from the map.
-    EXPECT_EQ(space.arenas.count(geo.arenaBaseOf(first_arena[0])), 0u);
+    // Its memory returned to the pool; the arena is gone from the table.
+    EXPECT_EQ(space.arenas.find(geo.arenaBaseOf(first_arena[0])), nullptr);
 }
 
 TEST_F(HwAllocTest, ResidentArenaSurvivesBecomingEmpty)
@@ -259,7 +453,7 @@ TEST_F(HwAllocTest, ResidentArenaSurvivesBecomingEmpty)
     EXPECT_EQ(objAlloc.objFree(space, a, env), FreeStatus::Ok);
     // Still resident in the HOT: kept to avoid thrash.
     EXPECT_EQ(stats.value("hwpage.arena_frees"), 0u);
-    EXPECT_EQ(space.arenas.count(geo.arenaBaseOf(a)), 1u);
+    EXPECT_NE(space.arenas.find(geo.arenaBaseOf(a)), nullptr);
 }
 
 TEST_F(HwAllocTest, ReleaseAllArenasEmptiesSpace)
@@ -507,10 +701,10 @@ TEST_P(HwPropertyTest, BitmapMatchesLiveSet)
 
     // The sum of set bitmap bits equals the live object count.
     std::uint64_t bits = 0;
-    for (const auto &[va, state] : space.arenas) {
+    space.arenas.forEach([&](const ArenaState &state) {
         bits += state.allocated;
-        ASSERT_EQ(state.bitmap.count(), state.allocated);
-    }
+        EXPECT_EQ(state.bitmap.count(), state.allocated);
+    });
     EXPECT_EQ(bits, live.size());
 }
 

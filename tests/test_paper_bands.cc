@@ -8,6 +8,10 @@
  * change. Fragmentation (note 5) is the one row EXPERIMENTS.md marks
  * ✖, so it is asserted to stay outside the paper's band: if it passes,
  * EXPERIMENTS.md is out of date.
+ *
+ * The same sweep also pins every run's simulated cycles and state
+ * digest, so a change that moves any simulated result fails here
+ * unless the table below is updated (and the change declared).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,6 +59,57 @@ group(const WorkloadSpec &spec)
     return languageName(spec.lang);
 }
 
+/** Simulated cycles and machine-state digest of one run. */
+struct PinnedRun
+{
+    std::uint64_t cycles;
+    std::uint64_t digest;
+};
+
+/** One workload's (baseline, Memento, Memento-no-bypass) results. */
+struct PinnedWorkload
+{
+    const char *id;
+    PinnedRun base;
+    PinnedRun memento;
+    PinnedRun noBypass;
+};
+
+/** Default configurations and seeds. */
+const PinnedWorkload kPinned[] = {
+    {"html", {102844633ull, 0xea5f93c422c922d7ull}, {83172575ull, 0xcef1803bcae9403aull}, {84228817ull, 0x1d97856761ef4ba1ull}},
+    {"ir", {162774874ull, 0x3be12b8895ef3c3dull}, {151953096ull, 0x9f6a4fd02e0ab2afull}, {152796929ull, 0x9bb39a21bea129c8ull}},
+    {"bfs", {148186289ull, 0x82a7d4639f1f946aull}, {130308265ull, 0xa48d776dc0f80485ull}, {131886705ull, 0x167972cb70eca7fbull}},
+    {"dna", {132182003ull, 0x6c736380ea2dca2cull}, {119292943ull, 0xfc3f038caccfb4f9ull}, {120196898ull, 0x0fa04b52dbc3831cull}},
+    {"aes", {19950995ull, 0x5ed91ff309b5cf2full}, {17503491ull, 0x77b73b770834d29cull}, {17580655ull, 0x07be881e3b9d1d4aull}},
+    {"fr", {128321112ull, 0x563150001331e9feull}, {113998441ull, 0xd63526cff3fcc18bull}, {114904191ull, 0xe3d5e645958e4d95ull}},
+    {"jl", {62241524ull, 0xd05ebb543f7b0a60ull}, {53735251ull, 0x6e63f173ad7ae996ull}, {54143914ull, 0x6a58d4b37c3f4ec4ull}},
+    {"jd", {131646843ull, 0x16becac2376c850bull}, {113835335ull, 0xa7f03484dce778e7ull}, {114575524ull, 0xcbb4702a63be7ab8ull}},
+    {"mk", {120115760ull, 0x5c412f33991a26c4ull}, {104045113ull, 0x0a1f59dd584b7c7dull}, {105017044ull, 0xafde65495d64928aull}},
+    {"US", {14469097ull, 0x390428b4a1d18489ull}, {12226768ull, 0x58fb528ac97674d2ull}, {12346361ull, 0xbfaea5a7322fd679ull}},
+    {"UM", {19806712ull, 0x4bc834dffb3e8c58ull}, {17588216ull, 0x992a8838bbcec852ull}, {17876672ull, 0xdc52b481f5fbc10full}},
+    {"CM", {23640131ull, 0x00c439e6099ce6acull}, {20624351ull, 0x649fd32af2bde039ull}, {21216860ull, 0x72730d976ff37c97ull}},
+    {"MI", {12954102ull, 0x01ab80abc0bcb351ull}, {11111081ull, 0x7b284fb65d50d458ull}, {11202403ull, 0xf3b7f2ea8c436899ull}},
+    {"html-go", {96863201ull, 0xf70ace77a24aaaa6ull}, {77300083ull, 0xcdaf86618625a952ull}, {79940522ull, 0x8d1e9b779352a6faull}},
+    {"bfs-go", {88659215ull, 0xefc51786e244410dull}, {78504816ull, 0x5e1603127e4a02e2ull}, {79885900ull, 0x1ca95073ad618700ull}},
+    {"aes-go", {33969457ull, 0x1b79b97a85c3f403ull}, {27719559ull, 0xa84f7bbad4a4f880ull}, {28473648ull, 0xd33621d775644e51ull}},
+    {"redis", {241461414ull, 0xcb1f6a599e4dc691ull}, {217947590ull, 0x4aa838f591d9f34cull}, {218131155ull, 0x905361c801573861ull}},
+    {"memcached", {268109502ull, 0xc6d1c23568dbaeb2ull}, {244790399ull, 0xa3ed32ce321e3b68ull}, {245046242ull, 0xc46e8b7274945ea4ull}},
+    {"silo", {267436182ull, 0x22a3003c0bd82da2ull}, {244816784ull, 0x3feacaef2574624full}, {245083740ull, 0xe92ac508f7cf882dull}},
+    {"sqlite3", {267531066ull, 0x362e77359a4d327eull}, {245011702ull, 0xc61e8f7bb3d2b339ull}, {245231969ull, 0x2ba60ba23af312b4ull}},
+    {"up", {614317906ull, 0xb164779a912d5289ull}, {585644024ull, 0xc55d9cb6c4dd8c24ull}, {586498608ull, 0x8578e0585ce0aa41ull}},
+    {"deploy", {525723684ull, 0x6c2b773dbbb89cf3ull}, {501626974ull, 0x5d4f06b58fb63bfeull}, {502431406ull, 0x0079e363b063a9f8ull}},
+    {"invoke", {431546487ull, 0xf3eda01fc3c741e6ull}, {409880142ull, 0x846b914410bb3cb1ull}, {410642460ull, 0xbf823edd361a5423ull}},
+};
+
+void
+expectPinned(const RunResult &run, const PinnedRun &pin,
+             const std::string &what)
+{
+    EXPECT_EQ(run.cycles, pin.cycles) << what << " cycles";
+    EXPECT_EQ(run.digest, pin.digest) << what << " digest";
+}
+
 double
 share(std::uint64_t part, std::uint64_t total)
 {
@@ -66,10 +122,24 @@ TEST(PaperBands, ExperimentsRowsHold)
 {
     SweepEngine engine; // Hardware concurrency.
     const std::vector<WorkloadSpec> &specs = allWorkloads();
+    RunOptions opts;
+    opts.computeDigest = true;
     const std::vector<ComparisonOutcome> outs = compareSweep(
-        specs, defaultConfig(), mementoConfig(), RunOptions{}, engine);
+        specs, defaultConfig(), mementoConfig(), opts, engine);
     for (const ComparisonOutcome &o : outs)
         ASSERT_FALSE(o.error) << o.cmp.spec.id << ": " << o.error->message;
+
+    // Every run reproduces its pinned cycles and digest.
+    ASSERT_EQ(outs.size(), std::size(kPinned));
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+        const Comparison &c = outs[i].cmp;
+        const PinnedWorkload &pin = kPinned[i];
+        ASSERT_EQ(c.spec.id, pin.id);
+        expectPinned(c.base, pin.base, c.spec.id + " baseline");
+        expectPinned(c.memento, pin.memento, c.spec.id + " Memento");
+        expectPinned(c.mementoNoBypass, pin.noBypass,
+                     c.spec.id + " Memento-no-bypass");
+    }
 
     // Fig. 8: group-average speedups inside the paper's ranges.
     auto speedup = [](const Comparison &c) { return c.speedup(); };
