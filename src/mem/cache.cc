@@ -21,22 +21,21 @@ Cache::Cache(const std::string &name, const CacheConfig &cfg,
              ": set count must be a power of two");
 }
 
-bool
+Cache::Eviction
 Cache::invalidate(Addr paddr)
 {
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
+    const Addr key = keyOf(paddr);
+    Line *base = setOf(paddr);
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            bool was_dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
-            return was_dirty;
+        if (line.key == key) {
+            Eviction removed{true, lineBase(paddr),
+                             (line.stamp & kDirty) != 0};
+            line = Line{};
+            return removed;
         }
     }
-    return false;
+    return {};
 }
 
 std::uint64_t
@@ -44,10 +43,9 @@ Cache::flushAll()
 {
     std::uint64_t dirty = 0;
     for (Line &line : lines_) {
-        if (line.valid && line.dirty)
+        if (line.key != 0 && (line.stamp & kDirty))
             ++dirty;
-        line.valid = false;
-        line.dirty = false;
+        line = Line{};
     }
     return dirty;
 }
@@ -57,7 +55,7 @@ Cache::residentLines() const
 {
     std::uint64_t n = 0;
     for (const Line &line : lines_) {
-        if (line.valid)
+        if (line.key != 0)
             ++n;
     }
     return n;
@@ -68,8 +66,8 @@ Cache::forEachLine(
     const std::function<void(Addr lineAddr, bool dirty)> &fn) const
 {
     for (const Line &line : lines_) {
-        if (line.valid)
-            fn(line.tag << kLineShift, line.dirty);
+        if (line.key != 0)
+            fn(line.key & ~kValid, (line.stamp & kDirty) != 0);
     }
 }
 
@@ -81,16 +79,20 @@ Cache::checkIntegrity(std::vector<std::string> &violations) const
         const Line *base = &lines_[set * ways_];
         for (unsigned w = 0; w < ways_; ++w) {
             const Line &line = base[w];
-            if (!line.valid) {
-                if (line.dirty)
+            if (line.key == 0) {
+                // A stamped invalid way would lose victim choice to an
+                // older valid one: invalid ways must keep stamp 0.
+                if (line.stamp & kDirty)
                     violations.push_back(name_ + ": invalid line dirty");
+                else if (line.stamp != 0)
+                    violations.push_back(name_ + ": invalid line stamped");
                 continue;
             }
-            if (setIndex(line.tag << kLineShift) != set)
+            if (setIndex(line.key) != set)
                 violations.push_back(
                     name_ + ": tag does not map to its own set");
             for (unsigned v = w + 1; v < ways_; ++v) {
-                if (base[v].valid && base[v].tag == line.tag)
+                if (base[v].key == line.key)
                     violations.push_back(
                         name_ + ": duplicate tag within a set");
             }

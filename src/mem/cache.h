@@ -5,6 +5,13 @@
  * The cache stores no data: it tracks which physical lines are resident
  * and dirty so the hierarchy can compute hit/miss latencies and DRAM
  * traffic. Timing is owned by CacheHierarchy.
+ *
+ * Each way is one 16-byte Line: a key word (the line base address with
+ * bit 0 set; 0 = invalid) and a stamp word (LRU clock << 1 | dirty).
+ * Stamps are unique, so comparing whole stamp words orders the ways
+ * exactly by recency, and an invalid way (stamp 0) sorts before every
+ * valid one: the way to fill is always the first minimum stamp. That
+ * lets probe() report the fill way from the same scan that misses.
  */
 
 #ifndef MEMENTO_MEM_CACHE_H
@@ -25,12 +32,22 @@ namespace memento {
 class Cache
 {
   public:
-    /** Result of installing a line: the victim, if one was evicted. */
+    /** Result of filling or invalidating a way: the line it removed. */
     struct Eviction
     {
         bool valid = false;
         Addr lineAddr = 0;
         bool dirty = false;
+    };
+
+    /**
+     * One way of a set. Callers only pass the pointers probe() and
+     * victim() return back to fill().
+     */
+    struct Line
+    {
+        Addr key = 0;             ///< lineBase | kValid; 0 = invalid.
+        std::uint64_t stamp = 0;  ///< LRU clock << 1 | dirty; 0 = invalid.
     };
 
     /**
@@ -47,44 +64,48 @@ class Cache
     // cannot see their bodies from CacheHierarchy.
 
     /**
-     * Look up @p paddr; on a hit, update LRU and (for writes) the dirty
-     * bit. Does not allocate on miss — the hierarchy installs lines
-     * explicitly so it can model bypass and inclusion.
+     * Look up @p paddr, counting a hit or a miss. On a hit, update LRU
+     * and (for writes) the dirty bit. Does not allocate on miss — the
+     * hierarchy fills lines explicitly so it can model bypass and
+     * inclusion.
      *
-     * @return true on hit.
+     * @return nullptr on a hit; on a miss, the way fill() should use
+     *         (the set's first invalid way, else its LRU way).
      */
-    bool access(Addr paddr, bool is_write);
+    Line *probe(Addr paddr, bool is_write);
+
+    /**
+     * The way probe() would pick for the absent line @p paddr, without
+     * counting an access. Used to re-pick after a back-invalidation
+     * freed a way in the set since the probe.
+     */
+    Line *victim(Addr paddr);
+
+    /**
+     * Put the absent line holding @p paddr into @p way (from probe() or
+     * victim() on this line's set, with no change to the set since),
+     * evicting its current line. @p dirty marks the new line dirty.
+     */
+    Eviction fill(Line *way, Addr paddr, bool dirty);
 
     /** True if the line holding @p paddr is resident (no LRU update). */
     bool contains(Addr paddr) const;
 
     /**
      * Install the line holding @p paddr, evicting the set's LRU entry if
-     * the set is full. @p dirty marks the new line dirty on arrival.
+     * the set is full. @p dirty marks the new line dirty on arrival; a
+     * resident line is refreshed and keeps its dirtiness.
      */
     Eviction install(Addr paddr, bool dirty);
 
     /**
-     * install() for a line the caller has just observed missing at this
-     * level (an access() or contains() that returned false, with no
-     * intervening install): skips the already-resident probe. Victim
-     * choice, LRU updates, and eviction accounting are identical to
-     * install() on an absent line — this is purely the hot-path form.
-     */
-    Eviction installAbsent(Addr paddr, bool dirty);
-
-    /**
      * Remove the line holding @p paddr if resident.
-     * @return true if the line was present and dirty.
+     * @return the removed line (valid = false when it was absent).
      */
-    bool invalidate(Addr paddr);
-
-    /** Mark the resident line holding @p paddr dirty (no-op if absent). */
-    void markDirty(Addr paddr);
+    Eviction invalidate(Addr paddr);
 
     /**
-     * Single-scan contains() + markDirty(): mark the resident line
-     * holding @p paddr dirty.
+     * Mark the resident line holding @p paddr dirty.
      * @return true if the line was resident.
      */
     bool tryMarkDirty(Addr paddr);
@@ -104,8 +125,9 @@ class Cache
 
     /**
      * Verify internal tag/set consistency: every valid line's tag must
-     * map back to the set it occupies, and no set may hold the same
-     * tag twice. Appends one message per violation to @p violations.
+     * map back to the set it occupies, no set may hold the same tag
+     * twice, and no invalid way may be dirty. Appends one message per
+     * violation to @p violations.
      * @return true when clean.
      */
     bool checkIntegrity(std::vector<std::string> &violations) const;
@@ -115,19 +137,22 @@ class Cache
   private:
     friend struct InvariantTestPeer; ///< Corruption hooks for val tests.
 
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-        std::uint64_t lruStamp = 0;
-    };
+    /** Key bit 0 (line addresses have it clear): the way is valid. */
+    static constexpr Addr kValid = 1;
+    /** Stamp bit 0: the line is dirty. */
+    static constexpr std::uint64_t kDirty = 1;
 
+    static Addr keyOf(Addr paddr) { return lineBase(paddr) | kValid; }
+    Line *setOf(Addr paddr);
+    /**
+     * The one set scan behind probe() and install(): refresh a resident
+     * line (merging @p dirty) and return nullptr, else return the fill
+     * way.
+     */
+    Line *lookup(Addr paddr, bool dirty);
     std::uint64_t setIndex(Addr paddr) const;
-    Addr tagOf(Addr paddr) const;
-
-    /** Shared install tail: fill the first invalid way, else evict @p lru. */
-    Eviction fillVictim(Line *invalid, Line *lru, Addr tag, bool dirty);
+    /** A fresh stamp word: the next clock value plus @p dirty. */
+    std::uint64_t nextStamp(bool dirty) { return ++lruClock_ << 1 | dirty; }
 
     std::string name_;
     std::uint64_t numSets_;
@@ -150,142 +175,102 @@ Cache::setIndex(Addr paddr) const
     return (paddr >> kLineShift) & (numSets_ - 1);
 }
 
-inline Addr
-Cache::tagOf(Addr paddr) const
+inline Cache::Line *
+Cache::setOf(Addr paddr)
 {
-    return paddr >> kLineShift;
+    return &lines_[setIndex(paddr) * ways_];
 }
 
-inline bool
-Cache::access(Addr paddr, bool is_write)
+inline Cache::Line *
+Cache::lookup(Addr paddr, bool dirty)
 {
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
+    const Addr key = keyOf(paddr);
+    Line *base = setOf(paddr);
+    Line *lru = base;
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lruStamp = ++lruClock_;
-            if (is_write)
-                line.dirty = true;
-            ++hits_;
-            return true;
+        if (line.key == key) {
+            line.stamp = nextStamp(dirty) | (line.stamp & kDirty);
+            return nullptr;
         }
+        if (line.stamp < lru->stamp)
+            lru = &line;
     }
-    ++misses_;
-    return false;
+    return lru;
+}
+
+inline Cache::Line *
+Cache::probe(Addr paddr, bool is_write)
+{
+    Line *way = lookup(paddr, is_write);
+    if (way)
+        ++misses_;
+    else
+        ++hits_;
+    return way;
+}
+
+inline Cache::Line *
+Cache::victim(Addr paddr)
+{
+    Line *base = setOf(paddr);
+    Line *lru = base;
+    for (unsigned w = 1; w < ways_; ++w) {
+        if (base[w].stamp < lru->stamp)
+            lru = &base[w];
+    }
+    return lru;
+}
+
+inline Cache::Eviction
+Cache::fill(Line *way, Addr paddr, bool dirty)
+{
+    Eviction evicted;
+    if (way->key != 0) {
+        evicted.valid = true;
+        evicted.lineAddr = way->key & ~kValid;
+        evicted.dirty = (way->stamp & kDirty) != 0;
+        ++evictions_;
+        if (evicted.dirty)
+            ++dirtyEvictions_;
+    }
+    way->key = keyOf(paddr);
+    way->stamp = nextStamp(dirty);
+    return evicted;
 }
 
 inline bool
 Cache::contains(Addr paddr) const
 {
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    const Line *base = &lines_[set * ways_];
+    const Addr key = keyOf(paddr);
+    const Line *base = &lines_[setIndex(paddr) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].key == key)
             return true;
     }
     return false;
-}
-
-inline Cache::Eviction
-Cache::fillVictim(Line *invalid, Line *lru, Addr tag, bool dirty)
-{
-    // An invalid way wins over the LRU victim; `lru` is the first
-    // least-recently-used valid way of the set when none is invalid —
-    // the same victim order the pre-fused triple scan produced.
-    Line *victim = invalid;
-    Eviction evicted;
-    if (!victim) {
-        victim = lru;
-        evicted.valid = true;
-        evicted.lineAddr = victim->tag << kLineShift;
-        evicted.dirty = victim->dirty;
-        ++evictions_;
-        if (victim->dirty)
-            ++dirtyEvictions_;
-    }
-
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = tag;
-    victim->lruStamp = ++lruClock_;
-    return evicted;
 }
 
 inline Cache::Eviction
 Cache::install(Addr paddr, bool dirty)
 {
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
-
-    // One scan finds a resident copy, the first invalid way, and the
-    // LRU entry simultaneously (the set was scanned three times here
-    // before the bench harness flagged install() as the hottest
-    // function in the sweep).
-    Line *invalid = nullptr;
-    Line *lru = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (line.valid) {
-            if (line.tag == tag) {
-                // Already resident: just refresh.
-                line.lruStamp = ++lruClock_;
-                line.dirty = line.dirty || dirty;
-                return {};
-            }
-            if (line.lruStamp < lru->lruStamp)
-                lru = &line;
-        } else if (!invalid) {
-            invalid = &line;
-        }
-    }
-    return fillVictim(invalid, lru, tag, dirty);
-}
-
-inline Cache::Eviction
-Cache::installAbsent(Addr paddr, bool dirty)
-{
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
-
-    Line *invalid = nullptr;
-    Line *lru = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = base[w];
-        if (line.valid) {
-            if (line.lruStamp < lru->lruStamp)
-                lru = &line;
-        } else if (!invalid) {
-            invalid = &line;
-        }
-    }
-    return fillVictim(invalid, lru, tag, dirty);
+    Line *way = lookup(paddr, dirty);
+    return way ? fill(way, paddr, dirty) : Eviction{};
 }
 
 inline bool
 Cache::tryMarkDirty(Addr paddr)
 {
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line *base = &lines_[set * ways_];
+    const Addr key = keyOf(paddr);
+    Line *base = setOf(paddr);
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.dirty = true;
+        if (line.key == key) {
+            line.stamp |= kDirty;
             return true;
         }
     }
     return false;
-}
-
-inline void
-Cache::markDirty(Addr paddr)
-{
-    tryMarkDirty(paddr);
 }
 
 } // namespace memento

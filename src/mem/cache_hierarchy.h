@@ -56,14 +56,32 @@ class CacheHierarchy
     const MemoryController &memCtrl() const { return memCtrl_; }
 
   private:
+    /** Which of the probing L1 and the L2 a back-invalidation hit. */
+    struct BackInvalidation
+    {
+        bool l1 = false;
+        bool l2 = false;
+    };
+
     /** Handle an eviction out of the L1 (merge into L2). */
     void absorbL1Eviction(const Cache::Eviction &ev, Cycles now);
     /** Handle an eviction out of the L2 (merge into LLC). */
     void absorbL2Eviction(const Cache::Eviction &ev, Cycles now);
-    /** Handle an eviction out of the LLC (writeback + back-invalidate). */
-    void absorbLlcEviction(const Cache::Eviction &ev, Cycles now);
-    /** Install into L1/L2/LLC with inclusion maintenance. */
-    void installAllLevels(Cache &l1, Addr paddr, bool dirty, Cycles now);
+    /**
+     * Handle an eviction out of the LLC (writeback + back-invalidate).
+     * @return whether the back-invalidation removed a line from @p l1
+     *         (the L1 the current access probes) and from the L2.
+     */
+    BackInvalidation absorbLlcEviction(const Cache::Eviction &ev,
+                                       const Cache &l1, Cycles now);
+    /**
+     * Fill a line that missed all three levels into the ways their
+     * probes picked, LLC first (@p llc_dirty: bypass instantiation).
+     */
+    void fillAllLevels(Cache &l1, Cache::Line *l1_way,
+                       Cache::Line *l2_way, Cache::Line *llc_way,
+                       Addr line, bool llc_dirty, bool is_write,
+                       Cycles now);
 
     Cache l1d_;
     Cache l1i_;
@@ -81,6 +99,15 @@ class CacheHierarchy
 // reference (tens of millions of times per workload); defining them
 // here lets them inline into Machine's access paths together with the
 // Cache probes they call.
+//
+// Probe-and-fill: each level's probe() that misses also returns the way
+// the line will fill, so a missed level's set is scanned once. The one
+// change to a set between its probe and its fill is an LLC
+// back-invalidation that removes a line from it; the freed way then
+// outranks the probed victim, so that level re-picks with victim(). The
+// re-pick keys on whether invalidate() found the line, not on set
+// equality (with the default geometries the LLC set index bits contain
+// the L2 and L1 ones, so an LLC victim always shares both sets).
 
 inline void
 CacheHierarchy::absorbL1Eviction(const Cache::Eviction &ev, Cycles now)
@@ -104,28 +131,36 @@ CacheHierarchy::absorbL2Eviction(const Cache::Eviction &ev, Cycles now)
         memCtrl_.writeback(ev.lineAddr, now);
 }
 
-inline void
-CacheHierarchy::absorbLlcEviction(const Cache::Eviction &ev, Cycles now)
+inline CacheHierarchy::BackInvalidation
+CacheHierarchy::absorbLlcEviction(const Cache::Eviction &ev,
+                                  const Cache &l1, Cycles now)
 {
     if (!ev.valid)
-        return;
+        return {};
     // Back-invalidate inner levels to preserve inclusion; fold their
     // dirtiness into the writeback decision.
-    bool dirty = ev.dirty;
-    dirty |= l1d_.invalidate(ev.lineAddr);
-    dirty |= l1i_.invalidate(ev.lineAddr);
-    dirty |= l2_.invalidate(ev.lineAddr);
-    if (dirty)
+    const Cache::Eviction d = l1d_.invalidate(ev.lineAddr);
+    const Cache::Eviction i = l1i_.invalidate(ev.lineAddr);
+    const Cache::Eviction two = l2_.invalidate(ev.lineAddr);
+    if (ev.dirty || d.dirty || i.dirty || two.dirty)
         memCtrl_.writeback(ev.lineAddr, now);
+    return {(&l1 == &l1d_ ? d : i).valid, two.valid};
 }
 
 inline void
-CacheHierarchy::installAllLevels(Cache &l1, Addr paddr, bool dirty,
-                                 Cycles now)
+CacheHierarchy::fillAllLevels(Cache &l1, Cache::Line *l1_way,
+                              Cache::Line *l2_way, Cache::Line *llc_way,
+                              Addr line, bool llc_dirty, bool is_write,
+                              Cycles now)
 {
-    absorbLlcEviction(llc_.install(paddr, false), now);
-    absorbL2Eviction(l2_.install(paddr, false), now);
-    absorbL1Eviction(l1.install(paddr, dirty), now);
+    const BackInvalidation inv =
+        absorbLlcEviction(llc_.fill(llc_way, line, llc_dirty), l1, now);
+    if (inv.l2)
+        l2_way = l2_.victim(line);
+    if (inv.l1)
+        l1_way = l1.victim(line);
+    absorbL2Eviction(l2_.fill(l2_way, line, false), now);
+    absorbL1Eviction(l1.fill(l1_way, line, is_write), now);
 }
 
 inline AccessResult
@@ -138,26 +173,26 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
 
     AccessResult res;
     res.latency = l1.latency();
-    if (l1.access(line, is_write)) {
+    Cache::Line *const l1_way = l1.probe(line, is_write);
+    if (!l1_way) {
         res.servicedByLevel = 1;
         return res;
     }
 
-    // Every level below a miss has just been probed, so the fills on
-    // these paths use installAbsent() (identical semantics, one fewer
-    // set scan; see cache.h).
     res.latency += l2_.latency();
-    if (l2_.access(line, is_write)) {
+    Cache::Line *const l2_way = l2_.probe(line, is_write);
+    if (!l2_way) {
         // Refill the L1 from the L2.
-        absorbL1Eviction(l1.installAbsent(line, is_write), now);
+        absorbL1Eviction(l1.fill(l1_way, line, is_write), now);
         res.servicedByLevel = 2;
         return res;
     }
 
     res.latency += llc_.latency();
-    if (llc_.access(line, is_write)) {
-        absorbL2Eviction(l2_.installAbsent(line, false), now);
-        absorbL1Eviction(l1.installAbsent(line, is_write), now);
+    Cache::Line *const llc_way = llc_.probe(line, is_write);
+    if (!llc_way) {
+        absorbL2Eviction(l2_.fill(l2_way, line, false), now);
+        absorbL1Eviction(l1.fill(l1_way, line, is_write), now);
         res.servicedByLevel = 3;
         return res;
     }
@@ -167,9 +202,8 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
         // LLC; the request propagates normally for coherence but no
         // DRAM fetch happens.
         ++bypasses_;
-        absorbLlcEviction(llc_.installAbsent(line, true), now);
-        absorbL2Eviction(l2_.installAbsent(line, false), now);
-        absorbL1Eviction(l1.installAbsent(line, is_write), now);
+        fillAllLevels(l1, l1_way, l2_way, llc_way, line, true, is_write,
+                      now);
         res.servicedByLevel = 3;
         res.bypassed = true;
         return res;
@@ -177,9 +211,7 @@ CacheHierarchy::access(Addr paddr, AccessType type, Cycles now,
 
     ++demandFills_;
     res.latency += memCtrl_.fill(line, now + res.latency);
-    absorbLlcEviction(llc_.installAbsent(line, false), now);
-    absorbL2Eviction(l2_.installAbsent(line, false), now);
-    absorbL1Eviction(l1.installAbsent(line, is_write), now);
+    fillAllLevels(l1, l1_way, l2_way, llc_way, line, false, is_write, now);
     res.servicedByLevel = 4;
     return res;
 }
@@ -188,11 +220,15 @@ inline Cycles
 CacheHierarchy::installLine(Addr paddr, Cycles now)
 {
     const Addr line = lineBase(paddr);
-    if (l1d_.access(line, /*is_write=*/true))
+    Cache::Line *l1_way = l1d_.probe(line, /*is_write=*/true);
+    if (!l1_way)
         return l1d_.latency();
-    // L2/LLC residency is unknown here, so installAllLevels() keeps the
-    // full install() probes for those levels.
-    installAllLevels(l1d_, line, /*dirty=*/true, now);
+    // L2/LLC residency is unknown here (they are not probed, so their
+    // hit/miss counters stay untouched): install() them.
+    if (absorbLlcEviction(llc_.install(line, false), l1d_, now).l1)
+        l1_way = l1d_.victim(line);
+    absorbL2Eviction(l2_.install(line, false), now);
+    absorbL1Eviction(l1d_.fill(l1_way, line, /*dirty=*/true), now);
     return l1d_.latency();
 }
 

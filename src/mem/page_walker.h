@@ -12,12 +12,15 @@
 #ifndef MEMENTO_MEM_PAGE_WALKER_H
 #define MEMENTO_MEM_PAGE_WALKER_H
 
-#include <vector>
+#include <array>
 
 #include "mem/cache_hierarchy.h"
 #include "sim/types.h"
 
 namespace memento {
+
+/** Radix levels of every walkable table (PGD, PUD, PMD, PTE). */
+inline constexpr unsigned kPageTableLevels = 4;
 
 /** Result of walking a table for one virtual address. */
 struct WalkResult
@@ -27,7 +30,9 @@ struct WalkResult
     /** Physical page base on success. */
     Addr ppage = 0;
     /** Physical addresses of the PTE entries touched, root to leaf. */
-    std::vector<Addr> visitedPtes;
+    std::array<Addr, kPageTableLevels> visitedPtes{};
+    /** Number of leading visitedPtes entries the walk touched. */
+    unsigned visitedCount = 0;
 };
 
 /** Interface over any radix page table the walker can traverse. */
@@ -61,9 +66,10 @@ class PageWalker
     {
         WalkResult res = table.walk(vaddr);
         latency = 0;
-        for (Addr pte : res.visitedPtes) {
-            latency +=
-                hier_.access(pte, AccessType::Read, now + latency).latency;
+        for (unsigned i = 0; i < res.visitedCount; ++i) {
+            latency += hier_.access(res.visitedPtes[i], AccessType::Read,
+                                    now + latency)
+                           .latency;
         }
         return res;
     }

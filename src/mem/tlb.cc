@@ -1,16 +1,30 @@
 #include "mem/tlb.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/logging.h"
 
 namespace memento {
 
+TlbSetIndex::TlbSetIndex(std::uint64_t sets)
+    : sets_(sets),
+      mask_(sets - 1),
+      magic_(isPowerOfTwo(sets)
+                 ? 0
+                 : std::numeric_limits<std::uint64_t>::max() / sets + 1),
+      limit_(isPowerOfTwo(sets)
+                 ? std::numeric_limits<Addr>::max()
+                 : std::numeric_limits<Addr>::max() / sets)
+{
+}
+
 Tlb::Tlb(const std::string &name, const TlbConfig &cfg, StatRegistry &stats)
     : name_(name),
-      numSets_(cfg.entries / cfg.ways),
-      setMask_(isPowerOfTwo(numSets_) ? numSets_ - 1 : 0),
+      setIndex_(cfg.entries / cfg.ways),
       ways_(cfg.ways),
       latency_(cfg.latency),
-      entries_(numSets_ * cfg.ways),
+      entries_(cfg.entries / cfg.ways * cfg.ways),
       hits_(stats.counter(name + ".hits")),
       misses_(stats.counter(name + ".misses"))
 {
@@ -23,32 +37,28 @@ void
 Tlb::insert(Addr vaddr, Addr paddr, unsigned shift)
 {
     const Addr vpage = vaddr >> shift;
-    Entry *base = &entries_[setIndex(vpage) * ways_];
+    panic_if(vpage > setIndex_.limit(), "tlb ", name_, ": page 0x",
+             std::hex, vpage, " is past the exact set-index range");
+    const Addr key = keyOf(vpage, shift);
+    Entry *base = setOf(vpage);
 
-    Entry *victim = nullptr;
+    // Update in place on a match; otherwise the first minimum stamp is
+    // the first invalid way, else the LRU way.
+    Entry *victim = base;
     for (unsigned w = 0; w < ways_; ++w) {
         Entry &e = base[w];
-        if (e.valid && e.shift == shift && e.vpage == vpage) {
-            victim = &e; // Update in place.
+        if (e.key == key) {
+            victim = &e;
             break;
         }
-        if (!e.valid && !victim)
+        if (e.lruStamp < victim->lruStamp)
             victim = &e;
     }
-    if (!victim) {
-        victim = &base[0];
-        for (unsigned w = 1; w < ways_; ++w) {
-            if (base[w].lruStamp < victim->lruStamp)
-                victim = &base[w];
-        }
-    }
-    if (victim->valid && victim->shift == kHugePageShift)
+    if (victim->key != 0 && shiftOf(*victim) == kHugePageShift)
         --hugeEntries_;
     if (shift == kHugePageShift)
         ++hugeEntries_;
-    victim->valid = true;
-    victim->shift = shift;
-    victim->vpage = vpage;
+    victim->key = key;
     victim->pbase = paddr & ~((1ull << shift) - 1);
     victim->lruStamp = ++lruClock_;
 }
@@ -58,11 +68,11 @@ Tlb::invalidatePage(Addr vaddr)
 {
     for (unsigned shift : {kPageShift, kHugePageShift}) {
         const Addr vpage = vaddr >> shift;
-        Entry *base = &entries_[setIndex(vpage) * ways_];
+        const Addr key = keyOf(vpage, shift);
+        Entry *base = setOf(vpage);
         for (unsigned w = 0; w < ways_; ++w) {
-            Entry &e = base[w];
-            if (e.valid && e.shift == shift && e.vpage == vpage) {
-                e.valid = false;
+            if (base[w].key == key) {
+                base[w] = Entry{};
                 if (shift == kHugePageShift)
                     --hugeEntries_;
             }
@@ -73,8 +83,7 @@ Tlb::invalidatePage(Addr vaddr)
 void
 Tlb::flushAll()
 {
-    for (Entry &e : entries_)
-        e.valid = false;
+    std::fill(entries_.begin(), entries_.end(), Entry{});
     hugeEntries_ = 0;
 }
 

@@ -1,6 +1,11 @@
 /**
  * @file
  * Set-associative TLB model (used for both the L1 and L2 levels).
+ *
+ * Each entry is 24 bytes: one key word (vpage << 6 | page shift; 0 =
+ * invalid), so a single compare checks validity, granularity and page;
+ * the physical base; and an LRU stamp (0 while invalid, so the first
+ * minimum stamp of a set is its first invalid way, else its LRU way).
  */
 
 #ifndef MEMENTO_MEM_TLB_H
@@ -19,6 +24,39 @@ namespace memento {
 
 /** Shift of a 2 MiB huge page. */
 inline constexpr unsigned kHugePageShift = 21;
+
+/**
+ * `vpage % sets` without a divide. A power-of-two set count is a mask.
+ * Any other uses the direct remainder of Lemire, Kaser and Kurz
+ * ("Faster remainder by direct computation", 2019): with
+ * M = ceil(2^64 / sets), the index is the high word of
+ * (M * vpage mod 2^64) * sets. That is always below `sets`, and it
+ * equals `vpage % sets` for every vpage <= limit().
+ */
+class TlbSetIndex
+{
+  public:
+    explicit TlbSetIndex(std::uint64_t sets);
+
+    std::uint64_t
+    operator()(Addr vpage) const
+    {
+        if (magic_ == 0)
+            return vpage & mask_;
+        using U128 = unsigned __int128;
+        return static_cast<std::uint64_t>(
+            (static_cast<U128>(magic_ * vpage) * sets_) >> 64);
+    }
+
+    /** Largest vpage whose index is exact (the insert guard). */
+    Addr limit() const { return limit_; }
+
+  private:
+    std::uint64_t sets_;
+    std::uint64_t mask_;  ///< sets_ - 1 (power-of-two counts).
+    std::uint64_t magic_; ///< ceil(2^64 / sets_); 0 for a power of two.
+    Addr limit_;
+};
 
 /** One level of virtual-to-physical translation caching. */
 class Tlb
@@ -57,26 +95,31 @@ class Tlb
   private:
     struct Entry
     {
-        bool valid = false;
-        unsigned shift = kPageShift;
-        Addr vpage = 0; ///< vaddr >> shift.
+        Addr key = 0;   ///< keyOf(vpage, shift); 0 = invalid.
         Addr pbase = 0; ///< Physical base at the entry's granularity.
-        std::uint64_t lruStamp = 0;
+        std::uint64_t lruStamp = 0; ///< 0 while invalid.
     };
+
+    /** Low key bits holding the page shift. */
+    static constexpr unsigned kShiftBits = 6;
+
+    static Addr
+    keyOf(Addr vpage, unsigned shift)
+    {
+        return vpage << kShiftBits | shift;
+    }
+    static unsigned
+    shiftOf(const Entry &e)
+    {
+        return static_cast<unsigned>(e.key & ((1u << kShiftBits) - 1));
+    }
 
     Entry *find(Addr vaddr);
     Entry *findAt(Addr vaddr, unsigned shift);
-    std::uint64_t setIndex(Addr vpage) const;
+    Entry *setOf(Addr vpage) { return &entries_[setIndex_(vpage) * ways_]; }
 
     std::string name_;
-    std::uint64_t numSets_;
-    /**
-     * numSets_ - 1 when numSets_ is a power of two, else 0. Lets
-     * setIndex() replace the hardware divide behind `vpage % numSets_`
-     * with a mask for power-of-two geometries (e.g. the L1 TLB, probed
-     * tens of millions of times per sweep).
-     */
-    std::uint64_t setMask_;
+    TlbSetIndex setIndex_;
     unsigned ways_;
     Cycles latency_;
     std::vector<Entry> entries_;
@@ -94,21 +137,17 @@ class Tlb
 
 // ---- Hot-path inline definitions ----
 
-inline std::uint64_t
-Tlb::setIndex(Addr vpage) const
-{
-    return setMask_ ? (vpage & setMask_) : vpage % numSets_;
-}
-
 inline Tlb::Entry *
 Tlb::findAt(Addr vaddr, unsigned shift)
 {
+    // insert() refuses pages past setIndex_.limit(), so a lookup of one
+    // lands in some in-range set and can only miss.
     const Addr vpage = vaddr >> shift;
-    Entry *base = &entries_[setIndex(vpage) * ways_];
+    const Addr key = keyOf(vpage, shift);
+    Entry *base = setOf(vpage);
     for (unsigned w = 0; w < ways_; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.shift == shift && e.vpage == vpage)
-            return &e;
+        if (base[w].key == key)
+            return &base[w];
     }
     return nullptr;
 }
@@ -142,7 +181,7 @@ Tlb::translate(Addr vaddr)
     if (Entry *e = find(vaddr)) {
         e->lruStamp = ++lruClock_;
         ++hits_;
-        return e->pbase + (vaddr & ((1ull << e->shift) - 1));
+        return e->pbase + (vaddr & ((1ull << shiftOf(*e)) - 1));
     }
     ++misses_;
     return std::nullopt;

@@ -149,7 +149,7 @@ PageTable::walk(Addr vaddr)
     Node *node = root_.get();
     for (unsigned level = 0; level < kLevels; ++level) {
         const unsigned idx = levelIndex(vaddr, level);
-        res.visitedPtes.push_back(node->pteAddr(idx));
+        res.visitedPtes[res.visitedCount++] = node->pteAddr(idx);
         if (level + 1 == kLevels) {
             auto leaf = node->leaves.find(idx);
             if (leaf == node->leaves.end())

@@ -39,7 +39,7 @@ class PageTable : public PageTableBase
 {
   public:
     /** Number of radix levels (PGD, PUD, PMD, PTE). */
-    static constexpr unsigned kLevels = 4;
+    static constexpr unsigned kLevels = kPageTableLevels;
     /** Index bits per level. */
     static constexpr unsigned kBitsPerLevel = 9;
     static constexpr unsigned kEntriesPerNode = 1u << kBitsPerLevel;

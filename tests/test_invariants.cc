@@ -35,27 +35,27 @@ struct InvariantTestPeer
         buddy.allocatedPages_ += 1; // Phantom live page.
     }
 
-    /** Leave one line invalid yet dirty. */
+    /** Leave one line invalid (key 0) yet dirty (stamp bit 0). */
     static void
     corruptCacheLine(Cache &cache)
     {
         for (auto &line : cache.lines_) {
-            if (!line.valid) {
-                line.dirty = true;
+            if (line.key == 0) {
+                line.stamp |= Cache::kDirty;
                 return;
             }
         }
-        cache.lines_.front().valid = false;
-        cache.lines_.front().dirty = true;
+        cache.lines_.front().key = 0;
+        cache.lines_.front().stamp |= Cache::kDirty;
     }
 
-    /** Skew a resident tag so it maps to a neighbouring set. */
+    /** Skew a resident line's address so it maps to a neighbouring set. */
     static void
     skewResidentTag(Cache &cache)
     {
         for (auto &line : cache.lines_) {
-            if (line.valid) {
-                line.tag ^= 1;
+            if (line.key != 0) {
+                line.key ^= kLineSize;
                 return;
             }
         }
@@ -164,6 +164,8 @@ TEST(InvariantTest, CacheTagSetMismatchDetected)
         const_cast<Cache &>(m.hierarchy().l1d()));
     const InvariantReport report = InvariantChecker::check(m);
     ASSERT_FALSE(report.clean());
+    EXPECT_NE(report.summary().find("tag does not map to its own set"),
+              std::string::npos);
 }
 
 TEST(InvariantTest, StrayPageTableMappingDetected)

@@ -104,9 +104,9 @@ TEST_F(PageTableTest, WalkVisitsFourLevels)
     WalkResult res = pt.walk(0x7000'0123);
     EXPECT_TRUE(res.valid);
     EXPECT_EQ(res.ppage, 0x55000u);
-    EXPECT_EQ(res.visitedPtes.size(), 4u);
+    EXPECT_EQ(res.visitedCount, 4u);
     // Each visited PTE lies inside a distinct node page.
-    for (std::size_t i = 1; i < res.visitedPtes.size(); ++i)
+    for (unsigned i = 1; i < res.visitedCount; ++i)
         EXPECT_NE(pageBase(res.visitedPtes[i]),
                   pageBase(res.visitedPtes[i - 1]));
 }
@@ -116,13 +116,13 @@ TEST_F(PageTableTest, WalkOnUnmappedIsInvalidButVisitsPrefix)
     PageTable pt(frames);
     WalkResult res = pt.walk(0x7000'0000);
     EXPECT_FALSE(res.valid);
-    EXPECT_EQ(res.visitedPtes.size(), 1u); // Root only.
+    EXPECT_EQ(res.visitedCount, 1u); // Root only.
 
     pt.map(0x7000'0000, 0x55000);
     res = pt.walk(0x7000'0000 + (1ull << 21)); // Same PMD region? No:
     // next 2 MiB chunk shares PGD/PUD but needs a new PMD leaf node.
     EXPECT_FALSE(res.valid);
-    EXPECT_GE(res.visitedPtes.size(), 3u);
+    EXPECT_GE(res.visitedCount, 3u);
 }
 
 TEST_F(PageTableTest, DistantAddressesUseSeparateSubtrees)
